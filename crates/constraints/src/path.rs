@@ -188,15 +188,15 @@ impl fmt::Debug for Path {
     /// Debug shows raw label indices; use [`Path::display`] for names.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.labels.is_empty() {
-            write!(f, "ε")
-        } else {
-            let parts: Vec<String> = self
-                .labels
-                .iter()
-                .map(|l| format!("#{}", l.index()))
-                .collect();
-            write!(f, "{}", parts.join("."))
+            return write!(f, "ε");
         }
+        for (i, l) in self.labels.iter().enumerate() {
+            if i > 0 {
+                f.write_str(".")?;
+            }
+            write!(f, "#{}", l.index())?;
+        }
+        Ok(())
     }
 }
 

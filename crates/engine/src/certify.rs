@@ -61,7 +61,6 @@ pub fn certify(
     answer: &Answer,
     shared: Option<&SharedContext>,
 ) -> Option<Certificate> {
-    let snapshot = canon::snapshot_id(&canonical.key);
     let body = match &answer.outcome {
         Outcome::Implied(evidence) => CertificateBody::Implied(implied_cert(
             canonical,
@@ -86,6 +85,9 @@ pub fn certify(
             })
         }
     };
+    // Only now that a body exists: evidence without a certificate form
+    // returns above without hashing the key.
+    let snapshot = canon::snapshot_id(&canonical.key);
     let certificate = Certificate { snapshot, body };
     let context = cert::CheckContext {
         snapshot,
