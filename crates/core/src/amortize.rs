@@ -10,8 +10,9 @@
 //! - `post*` saturation of the prefix-rewriting system, which depends
 //!   only on `(Σ, φ.lhs)` — so per distinct left-hand side the
 //!   saturated automaton is cached and each query answers as NFA
-//!   membership ([`SharedWord`]), plus the ε-collapse predicate, which
-//!   is Σ-only and precomputed at build.
+//!   membership ([`SharedWord`]), plus the ε-collapse predicate and the
+//!   certificate extractor's [`RuleIndex`], which are Σ-only and built
+//!   once.
 //!
 //! A [`SharedContext`] bundles both and is attached to a
 //! [`crate::Solver`] via [`crate::Solver::with_shared`]. Reuse is
@@ -27,6 +28,7 @@
 use crate::chase::SharedChase;
 use crate::outcome::Budget;
 use crate::word::WordEngine;
+use crate::word_evidence::{derivation_guided, Derivation, RuleIndex};
 use pathcons_automata::{determinize_capped, Dfa, Nfa};
 use pathcons_constraints::{Path, PathConstraint};
 use pathcons_graph::Label;
@@ -35,12 +37,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Per-context word-constraint amortization: the prefix-rewriting
-/// system built once, the ε-collapse predicate precomputed, and one
-/// saturated `post*` automaton cached per distinct query left-hand
-/// side.
+/// system and the derivation extractor's rule index built once, the
+/// ε-collapse predicate precomputed, and one saturated `post*`
+/// automaton cached per distinct query left-hand side.
 pub struct SharedWord {
     sigma: Vec<PathConstraint>,
     engine: WordEngine,
+    rules: RuleIndex,
     collapse: bool,
     /// `post*(lhs)` per lhs. Saturation is a function of `(Σ, lhs)`
     /// alone; the automaton is immutable once built, so clones of the
@@ -51,7 +54,9 @@ pub struct SharedWord {
     /// `None` records that determinization blew the state cap for this
     /// lhs, so it is not retried.
     post_dfa: Mutex<BTreeMap<Vec<Label>, Option<Arc<Dfa>>>>,
+    /// Decisions answered from a cached saturation (one per query).
     hits: AtomicU64,
+    /// Saturations computed.
     misses: AtomicU64,
 }
 
@@ -68,10 +73,12 @@ impl SharedWord {
             return None;
         }
         let engine = WordEngine::new(sigma).ok()?;
+        let rules = RuleIndex::new(sigma)?;
         let collapse = engine.has_epsilon_collapse();
         Some(SharedWord {
             sigma: sigma.to_vec(),
             engine,
+            rules,
             collapse,
             post: Mutex::new(BTreeMap::new()),
             post_dfa: Mutex::new(BTreeMap::new()),
@@ -99,23 +106,50 @@ impl SharedWord {
         }
     }
 
-    /// The cached `post*(alpha)` automaton, saturating on first use.
+    /// The cached `post*(alpha)` automaton, saturating on first use;
+    /// a cached one counts as a hit.
     pub fn consequences(&self, alpha: &[Label]) -> Arc<Nfa> {
+        let (nfa, cached) = self.saturation(alpha);
+        if cached {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+        }
+        nfa
+    }
+
+    /// `post*(alpha)` and whether it was cached, counting a miss but no
+    /// hit: the shared fetch behind decisions (which count their hit)
+    /// and certificate extraction (which rides its decision's hit).
+    fn saturation(&self, alpha: &[Label]) -> (Arc<Nfa>, bool) {
         let mut post = self.post.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(nfa) = post.get(alpha) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(nfa);
+            return (Arc::clone(nfa), true);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let nfa = Arc::new(self.engine.system().post_star(alpha));
         post.insert(alpha.to_vec(), Arc::clone(&nfa));
-        nfa
+        (nfa, false)
     }
 
     /// Whether `lhs → rhs` is derivable — `post*(lhs) ∋ rhs`, which is
-    /// exactly what a cold [`WordEngine::implies_word`] computes.
+    /// exactly what a cold [`WordEngine::implies_word`] computes. A
+    /// determinized `post*(lhs)` answers when one is cached (same
+    /// language, `O(|rhs|)`, counted as a hit); the decision never
+    /// determinizes itself, so first-touch cost stays one saturation.
     pub fn implies_word(&self, lhs: &Path, rhs: &Path) -> bool {
-        self.consequences(lhs).accepts(rhs)
+        let dfa = self
+            .post_dfa
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .get(lhs.labels())
+            .cloned()
+            .flatten();
+        match dfa {
+            Some(dfa) => {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                dfa.accepts(rhs)
+            }
+            None => self.consequences(lhs).accepts(rhs),
+        }
     }
 
     /// The cached *determinized* `post*(alpha)` automaton — same
@@ -134,7 +168,7 @@ impl SharedWord {
         }
         // Determinize outside the lock: the construction can be slow and
         // a racing builder computes the identical automaton anyway.
-        let nfa = self.consequences(alpha);
+        let (nfa, _) = self.saturation(alpha);
         let alphabet: std::collections::BTreeSet<Label> = (0..nfa.state_count())
             .flat_map(|i| {
                 nfa.transitions(pathcons_automata::StateId::from_index(i))
@@ -150,6 +184,28 @@ impl SharedWord {
             .entry(alpha.to_vec())
             .or_insert(dfa)
             .clone()
+    }
+
+    /// A shortest derivation of `alpha ⇒* beta` (see
+    /// [`derivation_guided`]) over the rule index built with this
+    /// state, guided by the cached `post*(alpha)` — determinized when
+    /// the subset construction stays under its cap, the NFA otherwise;
+    /// either decides the same language, so the derivation is the same.
+    /// The guide is fetched on the search's first membership query (a
+    /// reflexive derivation asks none, so it builds no DFA). Counts no
+    /// hit: the decision that precedes extraction has.
+    pub fn derivation(&self, alpha: &[Label], beta: &[Label], fuel: usize) -> Option<Derivation> {
+        let mut guide: Option<Result<Arc<Dfa>, Arc<Nfa>>> = None;
+        derivation_guided(&self.rules, alpha, beta, fuel, |w| {
+            let guide = guide.get_or_insert_with(|| {
+                self.consequences_dfa(alpha)
+                    .ok_or_else(|| self.saturation(alpha).0)
+            });
+            match guide {
+                Ok(dfa) => dfa.accepts(w),
+                Err(nfa) => nfa.accepts(w),
+            }
+        })
     }
 
     /// `(hits, misses)` of the `post*` cache so far.

@@ -61,5 +61,6 @@ pub use word::{word_implication_naive, NotAWordConstraint, WordEngine};
 
 mod word_evidence;
 pub use word_evidence::{
-    canonical_countermodel, derivation, derivation_guided, Derivation, DerivationStep,
+    canonical_countermodel, derivation_guided, derivation_guided_visits, Derivation,
+    DerivationStep, RuleIndex,
 };

@@ -89,7 +89,7 @@ impl WordEngine {
     /// `true`, a negative [`Self::implies`] answer means "not derivable",
     /// which may underapproximate semantic implication; the [`crate::Solver`]
     /// falls back to the chase for these theories. (This is a corner the
-    /// paper's citation of [4]'s completeness does not cover — none of
+    /// paper's citation of \[4\]'s completeness does not cover — none of
     /// the paper's constructions produce ε-collapsing sets.)
     pub fn has_epsilon_collapse(&self) -> bool {
         self.system.pre_star(&[]).accepts_some_nonempty()
@@ -124,9 +124,10 @@ impl WordEngine {
 }
 
 impl WordEngine {
-    /// Best-effort extraction of a replayable rewrite derivation for an
-    /// implied word constraint (see [`crate::derivation`]); `None` when
-    /// the constraint is not implied or the fuel ran out.
+    /// Best-effort extraction of a shortest replayable rewrite
+    /// derivation for an implied word constraint, guided by this
+    /// engine's `post*(φ.lhs)` (see [`crate::derivation_guided`]);
+    /// `None` when the constraint is not implied or the fuel ran out.
     pub fn try_derivation(
         &self,
         sigma: &[PathConstraint],
@@ -136,7 +137,9 @@ impl WordEngine {
         if !phi.is_word() {
             return None;
         }
-        crate::derivation(sigma, phi.lhs(), phi.rhs(), fuel)
+        let rules = crate::RuleIndex::new(sigma)?;
+        let post = self.system.post_star(phi.lhs());
+        crate::derivation_guided(&rules, phi.lhs(), phi.rhs(), fuel, |w| post.accepts(w))
     }
 
     /// Best-effort construction of a verified countermodel for a refuted

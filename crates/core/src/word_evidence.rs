@@ -5,10 +5,13 @@
 //! The `post*` decision procedure is complete but opaque; this module
 //! turns its verdicts into artifacts a skeptic can replay:
 //!
-//! - [`derivation`] — a step-by-step prefix-rewrite sequence from `α` to
-//!   `β`, checkable by [`Derivation::check`] (found by `pre*`-guided BFS;
-//!   shortest derivations can be long, so extraction is fuel-bounded and
-//!   optional — the decision itself never is);
+//! - [`derivation_guided`] — a shortest step-by-step prefix-rewrite
+//!   sequence from `α` to `β`, checkable by [`Derivation::check`]. It is
+//!   a meet-in-the-middle search: forward from `α`, backward from `β`
+//!   pruned by membership in the `post*(α)` the decision already
+//!   saturated, over a [`RuleIndex`] built once per Σ. Shortest
+//!   derivations can be long, so extraction is fuel-bounded and optional
+//!   — the decision itself never is;
 //! - [`canonical_countermodel`] — a finite truncation of the canonical
 //!   model of Σ (one vertex per word `y`, edges `n_x --l--> n_y` iff
 //!   `y ⇒* x·l`, so `u` reaches exactly the `pre*(u)` vertices). The
@@ -17,9 +20,9 @@
 //!   too coarse, not that no countermodel exists.
 
 use pathcons_automata::PrefixRewriteSystem;
-use pathcons_constraints::{all_hold, holds, Path, PathConstraint};
+use pathcons_constraints::{all_hold, holds, PathConstraint};
 use pathcons_graph::{Graph, Label, NodeId};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::HashMap;
 
 /// One prefix-rewrite step: rule `index` applied to the current word's
 /// prefix, yielding `result`.
@@ -75,187 +78,322 @@ impl Derivation {
     }
 }
 
-/// Extracts a derivation of `Σ ⊢ α → β` by BFS over rewrites, pruned to
-/// words that can still reach `β` (membership in `pre*(β)`). Returns
-/// `None` when `β` is unreachable or the `fuel` (visited-word budget)
-/// runs out — shortest derivations can be exponentially long, so
-/// extraction is best-effort while the decision itself is exact.
-pub fn derivation(
-    sigma: &[PathConstraint],
-    alpha: &Path,
-    beta: &Path,
-    fuel: usize,
-) -> Option<Derivation> {
-    let mut system = PrefixRewriteSystem::new();
-    for c in sigma {
-        if !c.is_word() {
-            return None;
-        }
-        system.add_rule(c.lhs().to_vec(), c.rhs().to_vec());
-    }
-    if alpha.labels() == beta.labels() {
-        return Some(Derivation {
-            start: alpha.to_vec(),
-            steps: Vec::new(),
-        });
-    }
-    let pre_star = system.pre_star(beta);
-    if !pre_star.accepts(alpha) {
-        return None;
-    }
-
-    // BFS with parent pointers over (word) nodes, expanding only words
-    // inside pre*(β).
-    let start: Vec<Label> = alpha.to_vec();
-    let target: Vec<Label> = beta.to_vec();
-    let mut parent: HashMap<Vec<Label>, (Vec<Label>, usize)> = HashMap::new();
-    let mut queue: VecDeque<Vec<Label>> = VecDeque::new();
-    let mut seen: HashSet<Vec<Label>> = HashSet::new();
-    seen.insert(start.clone());
-    queue.push_back(start.clone());
-    let mut found = false;
-    while let Some(word) = queue.pop_front() {
-        if word == target {
-            found = true;
-            break;
-        }
-        if seen.len() > fuel {
-            return None;
-        }
-        for (rule_idx, rule) in system.rules().iter().enumerate() {
-            if word.len() >= rule.lhs.len() && word[..rule.lhs.len()] == rule.lhs[..] {
-                let mut next: Vec<Label> = rule.rhs.clone();
-                next.extend_from_slice(&word[rule.lhs.len()..]);
-                if !seen.contains(&next) && pre_star.accepts(&next) {
-                    seen.insert(next.clone());
-                    parent.insert(next.clone(), (word.clone(), rule_idx));
-                    queue.push_back(next);
-                }
-            }
-        }
-    }
-    if !found {
-        return None;
-    }
-    // Reconstruct.
-    let mut steps = Vec::new();
-    let mut cursor = target.clone();
-    while cursor != start {
-        let (prev, rule) = parent.get(&cursor).expect("BFS parent");
-        steps.push(DerivationStep {
-            rule: *rule,
-            result: cursor.clone(),
-        });
-        cursor = prev.clone();
-    }
-    steps.reverse();
-    Some(Derivation { start, steps })
+/// Σ's word rules bucketed for prefix matching in both directions. A
+/// forward step needs the rule's lhs to be a prefix of the word and a
+/// backward step its rhs, so each side scans only the bucket of the
+/// word's first label. Every bucket has the empty-side rules (which apply
+/// to every word) merged in, and lists rules in Σ index order — the
+/// search's discovery order, and hence the derivation it returns, does
+/// not depend on the bucketing. Built once per Σ: a shared context keeps
+/// one for all its queries.
+#[derive(Clone, Debug)]
+pub struct RuleIndex {
+    /// `[lhs, rhs]` per rule, in Σ index order.
+    rules: Vec<[Vec<Label>; 2]>,
+    /// Forward buckets (by lhs) and backward buckets (by rhs).
+    buckets: [Buckets; 2],
 }
 
-/// Extracts a derivation of `Σ ⊢ α → β` by *backward* BFS from `β`,
-/// pruned to words reachable from `α` — `member` must answer membership
-/// in `post*(α)`, which is exactly the language the decision procedure
-/// already saturated to answer the query. A shared context hands in
-/// (the determinized form of) its cached automaton, so extraction costs
-/// membership queries instead of the fresh `pre*(β)` saturation
-/// [`derivation`] pays per query.
-///
-/// Every word on a forward derivation `α ⇒* β` lies in `post*(α)`, so
-/// the pruning keeps the search complete while confining it to the cone
-/// between `α` and `β`. The result is a function of `(Σ, α, β)` alone
-/// (candidates scan in Σ index order, FIFO queue) for any `member`
-/// deciding the same language: callers that share the saturation and
-/// callers that rebuild it extract the identical derivation.
-pub fn derivation_guided(
-    sigma: &[PathConstraint],
-    alpha: &Path,
-    beta: &Path,
-    fuel: usize,
-    mut member: impl FnMut(&[Label]) -> bool,
-) -> Option<Derivation> {
-    let mut system = PrefixRewriteSystem::new();
-    for c in sigma {
-        if !c.is_word() {
-            return None;
-        }
-        system.add_rule(c.lhs().to_vec(), c.rhs().to_vec());
-    }
-    let start: Vec<Label> = alpha.to_vec();
-    let target: Vec<Label> = beta.to_vec();
-    if start == target {
-        return Some(Derivation {
-            start,
-            steps: Vec::new(),
+#[derive(Clone, Debug, Default)]
+struct Buckets {
+    by_first: HashMap<Label, Vec<u32>>,
+    empty: Vec<u32>,
+}
+
+/// Search sides, indexing `RuleIndex::buckets` and the per-word marks:
+/// forward steps rewrite a rule's lhs (slot 0) into its rhs (slot 1),
+/// backward steps the other way round.
+const FORWARD: usize = 0;
+const BACKWARD: usize = 1;
+
+impl RuleIndex {
+    /// Indexes Σ, or `None` when some constraint is not a word
+    /// constraint.
+    pub fn new(sigma: &[PathConstraint]) -> Option<RuleIndex> {
+        let rules = sigma
+            .iter()
+            .map(|c| c.is_word().then(|| [c.lhs().to_vec(), c.rhs().to_vec()]))
+            .collect::<Option<Vec<_>>>()?;
+        let buckets = [FORWARD, BACKWARD].map(|side| {
+            let mut b = Buckets::default();
+            for (i, rule) in rules.iter().enumerate() {
+                match rule[side].first() {
+                    Some(l) => b.by_first.entry(*l).or_default().push(i as u32),
+                    None => b.empty.push(i as u32),
+                }
+            }
+            for bucket in b.by_first.values_mut() {
+                bucket.extend_from_slice(&b.empty);
+                bucket.sort_unstable();
+            }
+            b
         });
+        Some(RuleIndex { rules, buckets })
     }
-    if !member(&target) {
-        return None;
+
+    /// The rules whose `side` pattern may prefix `word`, in Σ order.
+    fn candidates(&self, side: usize, word: &[Label]) -> &[u32] {
+        let b = &self.buckets[side];
+        word.first()
+            .and_then(|l| b.by_first.get(l))
+            .unwrap_or(&b.empty)
     }
-    // A backward step requires the rule's rhs to be a prefix of the
-    // current word, so bucketing rules by the rhs' first label cuts the
-    // per-word scan to the bucket (plus the everywhere-applicable
-    // empty-rhs rules). Candidates stay in Σ index order, so the
-    // derivation found does not depend on the bucketing.
-    let mut by_first: HashMap<Label, Vec<usize>> = HashMap::new();
-    let mut empty_rhs: Vec<usize> = Vec::new();
-    for (i, rule) in system.rules().iter().enumerate() {
-        match rule.rhs.first() {
-            Some(l) => by_first.entry(*l).or_default().push(i),
-            None => empty_rhs.push(i),
+}
+
+/// How a side of the search reached a word.
+#[derive(Clone, Copy)]
+enum Mark {
+    Unseen,
+    /// The side's start word.
+    Root,
+    /// Reached from word `link` by rule `rule` — on the forward side
+    /// `link ⇒ word`, on the backward side `word ⇒ link`.
+    Via {
+        link: u32,
+        rule: u32,
+    },
+}
+
+/// The words a search visited, each stored once in a flat label buffer
+/// and addressed by `u32` id, with both sides' marks. An open-addressing
+/// table over the ids finds a word by content without owning a copy of
+/// it.
+struct Arena {
+    labels: Vec<Label>,
+    /// `labels[start..end]` per word.
+    spans: Vec<(usize, usize)>,
+    hashes: Vec<u64>,
+    marks: Vec<[Mark; 2]>,
+    /// Word ids, `u32::MAX` for an empty slot; the length is a power of
+    /// two, kept at least twice the word count.
+    slots: Vec<u32>,
+}
+
+const EMPTY_SLOT: u32 = u32::MAX;
+
+fn word_hash(word: &[Label]) -> u64 {
+    word.iter().fold(word.len() as u64, |h, l| {
+        (h.rotate_left(5) ^ l.index() as u64).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95)
+    })
+}
+
+impl Arena {
+    fn new() -> Arena {
+        Arena {
+            labels: Vec::new(),
+            spans: Vec::new(),
+            hashes: Vec::new(),
+            marks: Vec::new(),
+            slots: vec![EMPTY_SLOT; 1024],
         }
     }
 
-    // Backward step: a word `r·t` un-rewrites to `l·t` for each rule
-    // `l → r`. `next_hop` records the forward edge each discovery
-    // witnesses, so reaching `α` leaves a ready-made forward chain.
-    let mut next_hop: HashMap<Vec<Label>, (Vec<Label>, usize)> = HashMap::new();
-    let mut queue: VecDeque<Vec<Label>> = VecDeque::new();
-    let mut seen: HashSet<Vec<Label>> = HashSet::new();
-    seen.insert(target.clone());
-    queue.push_back(target.clone());
-    let mut found = false;
-    let mut candidates: Vec<usize> = Vec::new();
-    'bfs: while let Some(word) = queue.pop_front() {
-        if seen.len() > fuel {
-            return None;
-        }
-        candidates.clear();
-        if let Some(bucket) = word.first().and_then(|l| by_first.get(l)) {
-            candidates.extend_from_slice(bucket);
-        }
-        candidates.extend_from_slice(&empty_rhs);
-        candidates.sort_unstable();
-        for &rule_idx in &candidates {
-            let rule = &system.rules()[rule_idx];
-            if word.len() >= rule.rhs.len() && word[..rule.rhs.len()] == rule.rhs[..] {
-                let mut pred: Vec<Label> = rule.lhs.clone();
-                pred.extend_from_slice(&word[rule.rhs.len()..]);
-                if !seen.contains(&pred) && member(&pred) {
-                    seen.insert(pred.clone());
-                    next_hop.insert(pred.clone(), (word.clone(), rule_idx));
-                    if pred == start {
-                        found = true;
-                        break 'bfs;
-                    }
-                    queue.push_back(pred);
-                }
+    fn word(&self, id: u32) -> &[Label] {
+        let (start, end) = self.spans[id as usize];
+        &self.labels[start..end]
+    }
+
+    fn home(&self, hash: u64) -> usize {
+        // Multiplicative hashing puts the well-mixed bits at the top.
+        (hash >> (64 - self.slots.len().trailing_zeros())) as usize
+    }
+
+    /// The word's id, or the empty slot where it would go.
+    fn find(&self, word: &[Label], hash: u64) -> Result<u32, usize> {
+        let mask = self.slots.len() - 1;
+        let mut slot = self.home(hash);
+        loop {
+            match self.slots[slot] {
+                EMPTY_SLOT => return Err(slot),
+                id if self.hashes[id as usize] == hash && self.word(id) == word => return Ok(id),
+                _ => slot = (slot + 1) & mask,
             }
         }
     }
-    if !found {
-        return None;
+
+    fn intern(&mut self, word: &[Label]) -> u32 {
+        let hash = word_hash(word);
+        match self.find(word, hash) {
+            Ok(id) => id,
+            Err(slot) => self.insert(word, hash, slot),
+        }
     }
-    let mut steps = Vec::new();
-    let mut cursor = start.clone();
-    while cursor != target {
-        let (succ, rule) = next_hop.get(&cursor).expect("BFS next-hop");
-        steps.push(DerivationStep {
-            rule: *rule,
-            result: succ.clone(),
-        });
-        cursor = succ.clone();
+
+    /// Adds `word` (absent, with `slot` from [`Arena::find`]) unmarked.
+    fn insert(&mut self, word: &[Label], hash: u64, slot: usize) -> u32 {
+        let id = self.spans.len() as u32;
+        let start = self.labels.len();
+        self.labels.extend_from_slice(word);
+        self.spans.push((start, self.labels.len()));
+        self.hashes.push(hash);
+        self.marks.push([Mark::Unseen; 2]);
+        self.slots[slot] = id;
+        if self.spans.len() * 2 > self.slots.len() {
+            self.slots = vec![EMPTY_SLOT; self.slots.len() * 2];
+            let mask = self.slots.len() - 1;
+            for (id, &hash) in self.hashes.iter().enumerate() {
+                let mut slot = self.home(hash);
+                while self.slots[slot] != EMPTY_SLOT {
+                    slot = (slot + 1) & mask;
+                }
+                self.slots[slot] = id as u32;
+            }
+        }
+        id
     }
-    Some(Derivation { start, steps })
+
+    /// The derivation through `meet`, a word both sides have marked:
+    /// the forward marks lead back to `α`, the backward marks on to `β`.
+    fn derivation(&self, meet: u32) -> Derivation {
+        let mut steps = Vec::new();
+        let mut cursor = meet;
+        while let Mark::Via { link, rule } = self.marks[cursor as usize][FORWARD] {
+            steps.push(DerivationStep {
+                rule: rule as usize,
+                result: self.word(cursor).to_vec(),
+            });
+            cursor = link;
+        }
+        let start = self.word(cursor).to_vec();
+        steps.reverse();
+        cursor = meet;
+        while let Mark::Via { link, rule } = self.marks[cursor as usize][BACKWARD] {
+            steps.push(DerivationStep {
+                rule: rule as usize,
+                result: self.word(link).to_vec(),
+            });
+            cursor = link;
+        }
+        Derivation { start, steps }
+    }
+}
+
+/// Extracts a shortest derivation of `Σ ⊢ α → β` by meet-in-the-middle
+/// search over prefix rewrites. `member` must answer membership in
+/// `post*(α)` — the language the decision procedure already saturated —
+/// and `rules` must index the Σ the derivation's rule numbers refer to.
+/// Returns `None` when `β` is not derivable or the `fuel` (words visited,
+/// both sides together) runs out: shortest derivations can be
+/// exponentially long, so extraction is best-effort while the decision
+/// itself is exact.
+///
+/// The forward side grows from `α`, applying rules whose lhs prefixes the
+/// word; the backward side grows from `β`, un-applying rules whose rhs
+/// prefixes it, and keeps only `post*(α)` members (every word on a
+/// derivation from `α` is one). Each round expands one full level of the
+/// side with the smaller frontier (forward on a tie), so a depth-`d`
+/// derivation costs about `2·b^(d/2)` visited words instead of the
+/// one-sided `b^d`.
+///
+/// The result is shortest: while the sides have not met after `k`
+/// forward and `j` backward levels, every derivation is longer than
+/// `k + j` (its word at forward depth `min(k, d)` would otherwise lie in
+/// both searches), so the first word the `(k + j + 1)`-th level shares
+/// with the other side lies on a derivation of exactly that length. The
+/// result is also a function of `(Σ, α, β)` and `member`'s *language*
+/// alone — rules are tried in Σ index order, frontiers are FIFO, and the
+/// first meeting in discovery order wins — so callers holding a cached
+/// or determinized `post*(α)` and callers that re-saturate it extract
+/// the identical derivation.
+pub fn derivation_guided(
+    rules: &RuleIndex,
+    alpha: &[Label],
+    beta: &[Label],
+    fuel: usize,
+    member: impl FnMut(&[Label]) -> bool,
+) -> Option<Derivation> {
+    search(rules, alpha, beta, fuel, member).0
+}
+
+/// The words [`derivation_guided`] visits on both sides before it
+/// returns: a deterministic work counter for regression tests.
+#[doc(hidden)]
+pub fn derivation_guided_visits(
+    rules: &RuleIndex,
+    alpha: &[Label],
+    beta: &[Label],
+    fuel: usize,
+    member: impl FnMut(&[Label]) -> bool,
+) -> usize {
+    search(rules, alpha, beta, fuel, member).1
+}
+
+fn search(
+    rules: &RuleIndex,
+    alpha: &[Label],
+    beta: &[Label],
+    fuel: usize,
+    mut member: impl FnMut(&[Label]) -> bool,
+) -> (Option<Derivation>, usize) {
+    if alpha == beta {
+        let reflexive = Derivation {
+            start: alpha.to_vec(),
+            steps: Vec::new(),
+        };
+        return (Some(reflexive), 0);
+    }
+    if !member(beta) {
+        return (None, 0);
+    }
+    let mut arena = Arena::new();
+    let mut frontiers: [Vec<u32>; 2] = [Vec::new(), Vec::new()];
+    for (side, root) in [(FORWARD, alpha), (BACKWARD, beta)] {
+        let id = arena.intern(root);
+        arena.marks[id as usize][side] = Mark::Root;
+        frontiers[side].push(id);
+    }
+    let mut visited = 2;
+    let (mut word, mut next, mut level) = (Vec::new(), Vec::new(), Vec::new());
+    loop {
+        let side = if frontiers[FORWARD].len() <= frontiers[BACKWARD].len() {
+            FORWARD
+        } else {
+            BACKWARD
+        };
+        // An exhausted side has closed its reachable set without
+        // meeting the other: β is not derivable from α.
+        if frontiers[side].is_empty() {
+            return (None, visited);
+        }
+        for &id in &frontiers[side] {
+            if visited > fuel {
+                return (None, visited);
+            }
+            word.clear();
+            word.extend_from_slice(arena.word(id));
+            for &rule in rules.candidates(side, &word) {
+                let pair = &rules.rules[rule as usize];
+                let (pattern, replacement) = (&pair[side], &pair[1 - side]);
+                if !word.starts_with(pattern) {
+                    continue;
+                }
+                next.clear();
+                next.extend_from_slice(replacement);
+                next.extend_from_slice(&word[pattern.len()..]);
+                let hash = word_hash(&next);
+                let found = match arena.find(&next, hash) {
+                    Ok(seen) => seen,
+                    // Forward words are in post*(α) by construction.
+                    Err(_) if side == BACKWARD && !member(&next) => continue,
+                    Err(slot) => arena.insert(&next, hash, slot),
+                };
+                let marks = &mut arena.marks[found as usize];
+                if !matches!(marks[side], Mark::Unseen) {
+                    continue;
+                }
+                marks[side] = Mark::Via { link: id, rule };
+                visited += 1;
+                // Stored words are marked by some side: this one by the
+                // other side, so the searches meet here.
+                if !matches!(marks[1 - side], Mark::Unseen) {
+                    return (Some(arena.derivation(found)), visited);
+                }
+                level.push(found);
+            }
+        }
+        std::mem::swap(&mut frontiers[side], &mut level);
+        level.clear();
+    }
 }
 
 /// Attempts to build a finite countermodel of `Σ ∧ ¬φ` by truncating the
@@ -371,37 +509,106 @@ fn canonical_truncation(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pathcons_constraints::parse_constraints;
+    use pathcons_constraints::{parse_constraints, Path};
     use pathcons_graph::LabelInterner;
+
+    /// Extracts `alpha_text ⇒* beta_text` the way the engine does: over
+    /// Σ's rule index, guided by `post*(α)` membership.
+    fn extract(
+        sigma: &[PathConstraint],
+        alpha_text: &str,
+        beta_text: &str,
+        fuel: usize,
+        labels: &mut LabelInterner,
+    ) -> Option<Derivation> {
+        let alpha = Path::parse(alpha_text, labels).unwrap();
+        let beta = Path::parse(beta_text, labels).unwrap();
+        let mut system = PrefixRewriteSystem::new();
+        for c in sigma {
+            system.add_rule(c.lhs().to_vec(), c.rhs().to_vec());
+        }
+        let post = system.post_star(&alpha);
+        let rules = RuleIndex::new(sigma).expect("word theory");
+        let d = derivation_guided(&rules, &alpha, &beta, fuel, |w| post.accepts(w))?;
+        d.check(sigma).unwrap();
+        assert_eq!(d.start, alpha.to_vec());
+        assert_eq!(d.end(), beta.labels());
+        Some(d)
+    }
 
     #[test]
     fn derivation_for_chained_rules() {
         let mut labels = LabelInterner::new();
         let sigma = parse_constraints("a -> b\nb.g -> c", &mut labels).unwrap();
-        let alpha = Path::parse("a.g", &mut labels).unwrap();
-        let beta = Path::parse("c", &mut labels).unwrap();
-        let d = derivation(&sigma, &alpha, &beta, 10_000).expect("derivable");
+        let d = extract(&sigma, "a.g", "c", 10_000, &mut labels).expect("derivable");
         assert_eq!(d.steps.len(), 2);
-        d.check(&sigma).unwrap();
-        assert_eq!(d.end(), beta.labels());
     }
 
     #[test]
-    fn reflexive_derivation_is_empty() {
+    fn derivations_are_shortest_and_use_empty_sides() {
         let mut labels = LabelInterner::new();
-        let alpha = Path::parse("a.b", &mut labels).unwrap();
-        let d = derivation(&[], &alpha, &alpha, 100).unwrap();
-        assert!(d.steps.is_empty());
-        d.check(&[]).unwrap();
+        let sigma = parse_constraints(
+            "a -> b\nb -> c\nc -> d\nd -> e\na -> d\n() -> k\nk.m -> k\nx -> ()",
+            &mut labels,
+        )
+        .unwrap();
+        // a ⇒ d ⇒ e beats the four-step chain through b and c.
+        let d = extract(&sigma, "a.z", "e.z", 10_000, &mut labels).unwrap();
+        assert_eq!(d.steps.iter().map(|s| s.rule).collect::<Vec<_>>(), [4, 3]);
+        // An empty lhs prefixes every word; an empty rhs un-applies
+        // backward onto every word.
+        assert_eq!(
+            extract(&sigma, "m", "k", 10_000, &mut labels)
+                .unwrap()
+                .steps
+                .len(),
+            2
+        );
+        assert_eq!(
+            extract(&sigma, "x.y", "y", 10_000, &mut labels)
+                .unwrap()
+                .steps
+                .len(),
+            1
+        );
+        // Fuel counts visited words, the two start words included.
+        assert_eq!(extract(&sigma, "a.z", "e.z", 2, &mut labels), None);
+    }
+
+    #[test]
+    fn reflexive_derivation_is_empty_and_consults_no_oracle() {
+        let mut labels = LabelInterner::new();
+        let a = Path::parse("a.b", &mut labels).unwrap();
+        let rules = RuleIndex::new(&[]).unwrap();
+        let refl = derivation_guided(&rules, &a, &a, 100, |_: &[Label]| {
+            panic!("reflexive case must not consult the oracle")
+        })
+        .unwrap();
+        assert!(refl.steps.is_empty());
+        refl.check(&[]).unwrap();
     }
 
     #[test]
     fn underivable_returns_none() {
         let mut labels = LabelInterner::new();
         let sigma = parse_constraints("a -> b", &mut labels).unwrap();
-        let alpha = Path::parse("b", &mut labels).unwrap();
-        let beta = Path::parse("a", &mut labels).unwrap();
-        assert_eq!(derivation(&sigma, &alpha, &beta, 10_000), None);
+        // b ⇏ a: the oracle rules the target out immediately.
+        assert_eq!(extract(&sigma, "b", "a", 10_000, &mut labels), None);
+        // Past the oracle, an exhausted side ends the search.
+        let rules = RuleIndex::new(&sigma).unwrap();
+        let b = labels.get("b").unwrap();
+        let c = labels.intern("c");
+        assert_eq!(
+            derivation_guided(&rules, &[b], &[c], 10_000, |_| true),
+            None
+        );
+    }
+
+    #[test]
+    fn rule_index_rejects_non_word_theories() {
+        let mut labels = LabelInterner::new();
+        let sigma = parse_constraints("K: a -> b", &mut labels).unwrap();
+        assert!(RuleIndex::new(&sigma).is_none());
     }
 
     #[test]
@@ -428,52 +635,6 @@ mod tests {
             }],
         };
         honest.check(&sigma).unwrap();
-    }
-
-    /// A `post*(α)` membership oracle, as the engine supplies to
-    /// [`derivation_guided`] (possibly in determinized form — same
-    /// language either way).
-    fn post_member(sigma: &[PathConstraint], alpha: &Path) -> impl FnMut(&[Label]) -> bool {
-        let mut system = PrefixRewriteSystem::new();
-        for c in sigma {
-            system.add_rule(c.lhs().to_vec(), c.rhs().to_vec());
-        }
-        let post = system.post_star(alpha);
-        move |w: &[Label]| post.accepts(w)
-    }
-
-    #[test]
-    fn guided_derivation_agrees_with_prestar_guided() {
-        let mut labels = LabelInterner::new();
-        let sigma = parse_constraints("a -> b\nb.g -> c", &mut labels).unwrap();
-        let alpha = Path::parse("a.g", &mut labels).unwrap();
-        let beta = Path::parse("c", &mut labels).unwrap();
-        let d = derivation_guided(&sigma, &alpha, &beta, 10_000, post_member(&sigma, &alpha))
-            .expect("derivable");
-        d.check(&sigma).unwrap();
-        assert_eq!(d.start, alpha.to_vec());
-        assert_eq!(d.end(), beta.labels());
-        // Both extractors find the same-length (shortest) derivation.
-        let via_pre = derivation(&sigma, &alpha, &beta, 10_000).unwrap();
-        assert_eq!(d.steps.len(), via_pre.steps.len());
-    }
-
-    #[test]
-    fn guided_derivation_rejects_nonmembers_and_is_reflexive() {
-        let mut labels = LabelInterner::new();
-        let sigma = parse_constraints("a -> b", &mut labels).unwrap();
-        let b = Path::parse("b", &mut labels).unwrap();
-        let a = Path::parse("a", &mut labels).unwrap();
-        // b ⇏ a: the oracle rules the target out immediately.
-        assert_eq!(
-            derivation_guided(&sigma, &b, &a, 10_000, post_member(&sigma, &b)),
-            None
-        );
-        let refl = derivation_guided(&sigma, &a, &a, 10_000, |_: &[Label]| {
-            panic!("reflexive case must not consult the oracle")
-        })
-        .unwrap();
-        assert!(refl.steps.is_empty());
     }
 
     #[test]

@@ -312,7 +312,7 @@ impl BatchEngine {
     ///
     /// The certificate (when present) lives in the *canonical* label
     /// space and is bound to the canonical key's snapshot id — see
-    /// [`crate::certify`]. On a hit it is the cached certificate; on a
+    /// [`crate::certify()`]. On a hit it is the cached certificate; on a
     /// miss it is freshly emitted (and stored alongside the entry). In
     /// [`VerifyMode::Check`] a hit's certificate is validated by the
     /// trusted checker before the entry is served; an invalid one
@@ -496,7 +496,7 @@ impl BatchEngine {
     /// cache activity lands inside the window and is attributed to the
     /// batch; the deltas are an upper bound, not an exact per-batch
     /// count. (A poison reset inside the window can also shrink
-    /// counters; [`BatchStats::collect`] saturates rather than
+    /// counters; `BatchStats::collect` saturates rather than
     /// panicking.)
     pub fn run_batch(&self, jobs: Vec<Job>) -> BatchReport {
         let telemetry = self.config.budget.telemetry.clone();
@@ -814,7 +814,7 @@ impl BatchEngine {
 
     /// Solves one prepared query and shapes the wire result — the
     /// single job-answering path shared by the batch worker
-    /// ([`BatchEngine::run_one`] internals) and the resident serve loop
+    /// (`BatchEngine::run_one` internals) and the resident serve loop
     /// (`pathcons serve`), so both produce identical verdicts for
     /// identical inputs. `deadline_at` is the job's absolute wall-clock
     /// deadline (already armed by the caller); `start` is the instant
@@ -1343,7 +1343,7 @@ pub struct JobResult {
     /// Cache hit/miss (absent for jobs that never reached the solver).
     pub cache: Option<CacheOutcome>,
     /// A checkable certificate for the verdict, in the canonical label
-    /// space of the job's query (see [`crate::certify`]); absent when
+    /// space of the job's query (see [`crate::certify()`]); absent when
     /// the evidence kind has no certificate form or the job never
     /// reached the solver. Serialized under the `certificate` key; a
     /// results file carrying them can be audited offline with

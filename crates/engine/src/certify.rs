@@ -14,8 +14,13 @@
 //!   pattern has the same shape under renaming) and constraint indices
 //!   into the *original* Σ; the indices are remapped by renaming the
 //!   original constraint and locating it in the canonical Σ.
-//! - **Word derivations** are re-extracted directly over the canonical
-//!   Σ/φ (the solver's `WordDerivation` evidence carries no steps).
+//! - **Word derivations** are re-extracted in the original label space
+//!   (the solver's `WordDerivation` evidence carries no steps) by the
+//!   meet-in-the-middle search of [`pathcons_core::derivation_guided`]:
+//!   forward from φ's lhs, backward from its rhs pruned by the
+//!   context's cached `post*(lhs)`, over the context's rule index (cold
+//!   callers build both per call). The shortest derivation found is
+//!   renamed into canonical space, rule indices included.
 //! - **Countermodels** are renamed edge-by-edge into canonical labels.
 //!   Typed countermodels are skipped: they carry `Φ(σ)` obligations the
 //!   untyped checker cannot audit.
@@ -33,12 +38,13 @@ use pathcons_cert::{
     ImpliedCert, RewriteStep,
 };
 use pathcons_constraints::PathConstraint;
-use pathcons_core::{derivation_guided, Answer, Evidence, Outcome, SharedContext, SharedWord};
+use pathcons_core::{Answer, Evidence, Outcome, SharedContext, SharedWord};
 use pathcons_graph::Label;
 
-/// Visited-word budget for re-extracting a word derivation. Shortest
-/// derivations can be exponentially long; extraction is best-effort (a
-/// `None` just means the hit is served unchecked).
+/// Visited-word budget for re-extracting a word derivation: words
+/// visited by the forward and the backward side of the search together.
+/// Shortest derivations can be exponentially long; extraction is
+/// best-effort (a `None` just means the hit is served unchecked).
 const WORD_DERIVATION_FUEL: usize = 20_000;
 
 /// Builds the canonical-space certificate for `answer`, or `None` when
@@ -162,24 +168,7 @@ fn word_rewrite_cert(
             &owned
         }
     };
-    // Determinized membership when the subset construction stays small
-    // (cached per lhs, O(|word|) per query); NFA membership against the
-    // same saturation otherwise. Either way the guide decides the same
-    // language, so the extracted derivation does not depend on which
-    // form answered.
-    let dfa = word.consequences_dfa(original_phi.lhs().labels());
-    let nfa = word.consequences(original_phi.lhs().labels());
-    let member = |w: &[Label]| match &dfa {
-        Some(d) => d.accepts(w),
-        None => nfa.accepts(w),
-    };
-    let d = derivation_guided(
-        original_sigma,
-        original_phi.lhs(),
-        original_phi.rhs(),
-        WORD_DERIVATION_FUEL,
-        member,
-    )?;
+    let d = word.derivation(original_phi.lhs(), original_phi.rhs(), WORD_DERIVATION_FUEL)?;
     let start = rename_word(&d.start, canonical)?;
     let mut steps = Vec::with_capacity(d.steps.len());
     for s in &d.steps {

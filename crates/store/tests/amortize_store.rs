@@ -172,3 +172,30 @@ fn warm_prepared_jobs_match_cold_verdicts_and_reuse_shared_state() {
         wordy.shared
     );
 }
+
+#[test]
+fn warm_jobs_count_one_post_star_lookup_each() {
+    let store = ConstraintStore::from_jsonl(TWO_CONTEXTS).expect("store");
+    assert_eq!(store.warm_all(), 2);
+    let engine = BatchEngine::new(EngineConfig::default());
+    // Distinct implied rhs on one lhs: every job misses the answer cache,
+    // decides against the context's post*(k.m.m) and certifies.
+    let rhs = ["k.m", "k", "k.k", "k.k.m", "k.k.m.m"];
+    for phi in rhs.map(|r| format!("k.m.m -> {r}")) {
+        let prepared = store.prepare(&job("wordy", &[], &phi)).expect("prepare");
+        let result = engine.solve_prepared("q".into(), &prepared, None, Instant::now());
+        assert!(result.certificate.is_some(), "{phi}: {result:?}");
+    }
+    let stats = store.context_stats();
+    let wordy = stats.iter().find(|c| c.name == "wordy").expect("wordy");
+    // The first job saturates; each later one is one hit, whether the
+    // NFA or the DFA its certificate built answers it — certificate
+    // extraction rides the decision's lookup and counts none itself.
+    assert_eq!(wordy.shared.word_misses, 1, "{:?}", wordy.shared);
+    assert_eq!(
+        wordy.shared.word_hits,
+        rhs.len() as u64 - 1,
+        "{:?}",
+        wordy.shared
+    );
+}
