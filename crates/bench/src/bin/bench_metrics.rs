@@ -1,9 +1,9 @@
 //! Metrics-plane overhead benchmark: sustained serve throughput at 64
-//! concurrent clients with the metrics plane in its cheapest
-//! configuration (the server's private registry, no engine
-//! instrumentation) versus fully live (registry shared with the engine,
-//! Prometheus listener bound, slow-query log armed). Results go to
-//! `BENCH_metrics.json`.
+//! concurrent clients on a plain server (the engine records every
+//! verdict, cache outcome and solve latency into its registry — that
+//! recording is always on) versus the same server with the operator
+//! surfaces armed (Prometheus listener bound, slow-query log armed).
+//! Results go to `BENCH_metrics.json`.
 //!
 //! Usage:
 //!
@@ -17,11 +17,11 @@
 //! drift subtracts out (separately-aggregated medians would fold that
 //! drift into the overhead figure). `--smoke` scales the workload down
 //! for CI; the full run asserts the acceptance ceiling: under 2%
-//! throughput overhead with the plane fully live.
+//! throughput overhead with the operator surfaces armed.
 
 use pathcons_bench::{bench_meta, time_ms};
 use pathcons_engine::{BatchEngine, EngineConfig, Json};
-use pathcons_metrics::{names, MetricsRegistry};
+use pathcons_metrics::names;
 use pathcons_store::{Client, ConstraintStore, Endpoint, Server, ServerHandle};
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -46,32 +46,25 @@ fn socket_path(round: usize, live: bool) -> std::path::PathBuf {
     std::env::temp_dir().join(format!(
         "pcs-bm-{}-{round}-{}.sock",
         std::process::id(),
-        if live { "on" } else { "off" }
+        if live { "live" } else { "base" }
     ))
 }
 
-/// A fresh server per measurement. `live` arms the whole plane: the
-/// registry shared into the engine (verdict counters, cache outcomes,
-/// solve-latency histogram on every job), the Prometheus listener, and
-/// a slow-query log whose threshold no benchmark job crosses — so the
-/// cost measured is the instrumentation itself, not log I/O.
+/// A fresh server per measurement. Both arms record every job into the
+/// engine's registry; `live` also binds the Prometheus listener and
+/// arms a slow-query log whose threshold no benchmark job crosses — so
+/// the cost measured is the armed surfaces' per-job checks, not log I/O.
 fn spawn_server(round: usize, live: bool) -> ServerHandle {
-    let mut config = EngineConfig::default();
-    let registry = Arc::new(MetricsRegistry::new());
-    if live {
-        config.metrics = Some(registry.clone());
-    }
     let store = ConstraintStore::from_jsonl("").expect("empty store");
     let server = Server::bind(
         &Endpoint::Unix(socket_path(round, live)),
         Arc::new(store),
-        Arc::new(BatchEngine::new(config)),
+        Arc::new(BatchEngine::new(EngineConfig::default())),
         None,
     )
     .expect("bind unix socket");
     if live {
         server
-            .with_metrics(registry)
             .with_metrics_addr("127.0.0.1:0")
             .expect("bind metrics listener")
             .with_slow_log(3_600_000, None)
@@ -114,7 +107,7 @@ fn measure(handle: &ServerHandle, clients: usize, per_client: usize) -> f64 {
     wall_ms
 }
 
-/// Scrapes the live server's exposition once and checks the job counter
+/// Scrapes a server's exposition once and checks the job counter
 /// matches the jobs actually sent — the benchmark doubles as an
 /// end-to-end accounting check.
 fn check_accounting(handle: &ServerHandle, expected_jobs: u64) {
@@ -176,50 +169,48 @@ fn main() {
                 .map(|_| measure(&handle, clients, per_client))
                 .collect(),
         );
-        if live {
-            check_accounting(&handle, (inner * clients * per_client) as u64);
-        }
+        check_accounting(&handle, (inner * clients * per_client) as u64);
         handle.stop().expect("server stops");
         ms
     };
-    let mut off_samples = Vec::with_capacity(pairs);
+    let mut base_samples = Vec::with_capacity(pairs);
     let mut deltas = Vec::with_capacity(pairs);
     for round in 0..pairs {
-        let (off, on) = if round % 2 == 0 {
-            let off = run_config(round, false);
-            (off, run_config(round, true))
+        let (base, live) = if round % 2 == 0 {
+            let base = run_config(round, false);
+            (base, run_config(round, true))
         } else {
-            let on = run_config(round, true);
-            (run_config(round, false), on)
+            let live = run_config(round, true);
+            (run_config(round, false), live)
         };
         println!(
-            "pair {:>2}: metrics off {:>9.3} ms, on {:>9.3} ms, delta {:>+8.3} ms",
+            "pair {:>2}: baseline {:>9.3} ms, live {:>9.3} ms, delta {:>+8.3} ms",
             round,
-            off,
-            on,
-            on - off
+            base,
+            live,
+            live - base
         );
-        off_samples.push(off);
-        deltas.push(on - off);
+        base_samples.push(base);
+        deltas.push(live - base);
     }
-    let off_ms = median(off_samples);
-    let on_ms = off_ms + median(deltas);
-    let overhead_pct = (on_ms / off_ms.max(1e-6) - 1.0) * 100.0;
+    let base_ms = median(base_samples);
+    let live_ms = base_ms + median(deltas);
+    let overhead_pct = (live_ms / base_ms.max(1e-6) - 1.0) * 100.0;
     let jobs = (clients * per_client) as f64;
     println!(
-        "{clients} clients x {per_client} jobs: off {off_ms:.3} ms ({:.0} jobs/sec), on {on_ms:.3} ms ({:.0} jobs/sec), overhead {overhead_pct:+.2}%",
-        jobs / (off_ms / 1e3),
-        jobs / (on_ms / 1e3),
+        "{clients} clients x {per_client} jobs: baseline {base_ms:.3} ms ({:.0} jobs/sec), live {live_ms:.3} ms ({:.0} jobs/sec), overhead {overhead_pct:+.2}%",
+        jobs / (base_ms / 1e3),
+        jobs / (live_ms / 1e3),
     );
     if !smoke {
         assert!(
             overhead_pct < 2.0,
-            "live metrics plane broke the 2% throughput-overhead ceiling: {overhead_pct:+.2}%"
+            "armed operator surfaces broke the 2% throughput-overhead ceiling: {overhead_pct:+.2}%"
         );
     }
 
     let workload = format!(
-        "{clients} concurrent clients x {per_client} word-chain jobs, pipeline window 32, {pairs} alternating off/on pairs x median-of-{inner}, overhead = median of paired deltas"
+        "{clients} concurrent clients x {per_client} word-chain jobs, pipeline window 32, {pairs} alternating baseline/live pairs x median-of-{inner}, overhead = median of paired deltas; baseline = engine-recording server, live = plus Prometheus listener and slow-query log"
     );
     let mut json = String::new();
     json.push_str("{\n");
@@ -236,13 +227,13 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "  \"metrics_off_ms\": {off_ms:.3}, \"metrics_on_ms\": {on_ms:.3},"
+        "  \"baseline_ms\": {base_ms:.3}, \"live_ms\": {live_ms:.3},"
     );
     let _ = writeln!(
         json,
-        "  \"jobs_per_sec_off\": {:.0}, \"jobs_per_sec_on\": {:.0},",
-        jobs / (off_ms / 1e3),
-        jobs / (on_ms / 1e3)
+        "  \"jobs_per_sec_baseline\": {:.0}, \"jobs_per_sec_live\": {:.0},",
+        jobs / (base_ms / 1e3),
+        jobs / (live_ms / 1e3)
     );
     let _ = writeln!(json, "  \"overhead_pct\": {overhead_pct:.3}");
     json.push_str("}\n");

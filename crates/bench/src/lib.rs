@@ -7,6 +7,7 @@
 #![warn(missing_docs)]
 
 use pathcons_constraints::{Path, PathConstraint};
+use pathcons_engine::Json;
 use pathcons_graph::{Label, LabelInterner};
 use pathcons_monoid::Presentation;
 use pathcons_types::{Schema, SchemaBuilder, TypeExpr, TypeGraph, TypeNodeId};
@@ -468,30 +469,16 @@ pub fn bench_meta(workload: &str) -> String {
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    format!(
-        r#"{{"schema": {BENCH_SCHEMA_VERSION}, "rustc": "{}", "threads": {threads}, "workload": "{}"}}"#,
-        json_escape(&rustc),
-        json_escape(workload)
-    )
-}
-
-/// Minimal JSON string escaping for the metadata header (the inputs are
-/// version strings and our own workload descriptions, so quotes and
-/// backslashes are the realistic hazards; control characters are
-/// escaped for completeness).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
+    Json::Obj(vec![
+        (
+            "schema".to_owned(),
+            Json::Num(f64::from(BENCH_SCHEMA_VERSION)),
+        ),
+        ("rustc".to_owned(), Json::Str(rustc)),
+        ("threads".to_owned(), Json::Num(threads as f64)),
+        ("workload".to_owned(), Json::Str(workload.to_owned())),
+    ])
+    .to_string()
 }
 
 /// Milliseconds elapsed running `f` once.

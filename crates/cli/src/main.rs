@@ -54,7 +54,7 @@ use pathcons_engine::{
     FaultPlan, Job, JobResult, Json, RetryPolicy, ShedPolicy, Verdict, VerifyMode,
 };
 use pathcons_graph::{parse_graph, to_dot, DotOptions, Graph, LabelInterner};
-use pathcons_metrics::MetricsRegistry;
+use pathcons_metrics::names;
 use pathcons_store::{ConstraintStore, Endpoint, Server};
 use pathcons_types::{infer_typing, parse_schema, Model, Schema, TypeGraph};
 use std::fmt::Write as _;
@@ -846,7 +846,6 @@ fn engine_config_from_args(args: &Args) -> Result<EngineConfig, CliError> {
         retry,
         shed: ShedPolicy::queue_depth(parse_numeric(args, "shed-depth")?.unwrap_or(0)),
         chaos: None,
-        metrics: None,
     })
 }
 
@@ -1048,12 +1047,6 @@ fn cmd_serve(args: &Args) -> Result<String, CliError> {
 
     let endpoint = Endpoint::parse(&listen).map_err(CliError::Usage)?;
     let mut config = engine_config_from_args(args)?;
-    // One registry shared by the engine (verdict counts, cache
-    // outcomes, solve latency) and the serve front-end (per-op latency,
-    // throughput, serve counters): a single `{"op": "metrics"}`
-    // snapshot or Prometheus scrape carries both sides.
-    let registry = Arc::new(MetricsRegistry::new());
-    config.metrics = Some(registry.clone());
     // `serve --trace` mirrors `batch --trace`: every engine event (and
     // the per-job `serve.job` correlation events) lands in a JSONL
     // trace checkable with `pathcons trace-check`.
@@ -1080,8 +1073,7 @@ fn cmd_serve(args: &Args) -> Result<String, CliError> {
         engine,
         deadline_ms.map(|ms| ms as u64),
     )
-    .map_err(|e| CliError::Failed(format!("cannot bind `{endpoint}`: {e}")))?
-    .with_metrics(registry);
+    .map_err(|e| CliError::Failed(format!("cannot bind `{endpoint}`: {e}")))?;
     if let Some(ms) = slow_ms {
         server = server
             .with_slow_log(ms as u64, slow_log.as_deref())
@@ -1113,14 +1105,19 @@ fn cmd_serve(args: &Args) -> Result<String, CliError> {
             load_elapsed.as_secs_f64() * 1e3,
         ));
     }
-    let stats = server.stats();
+    let plane = server.metrics_plane();
     server
         .run()
         .map_err(|e| CliError::Failed(format!("serve failed: {e}")))?;
-    let snap = stats.snapshot();
+    let snap = plane.registry().snapshot();
+    let count = |family| snap.counter(family, &[]);
     Ok(format!(
         "served {} job(s) over {} connection(s) ({} malformed line(s), {} shed, {} slow)\n",
-        snap.jobs, snap.connections, snap.malformed, snap.shed, snap.slow,
+        count(names::JOBS_TOTAL),
+        count(names::CONNECTIONS_TOTAL),
+        count(names::MALFORMED_TOTAL),
+        count(names::SHED_TOTAL),
+        count(names::SLOW_JOBS_TOTAL),
     ))
 }
 

@@ -1,6 +1,6 @@
 //! The batch engine: cached, parallel, deadline-bounded implication.
 
-use crate::cache::{AnswerCache, CacheStats, CachedEntry};
+use crate::cache::{AnswerCache, CachedEntry, Lookup};
 use crate::canon::{self, snapshot_id, CanonicalQuery, QueryKey, Renaming};
 use crate::certify::certify;
 use crate::certwire;
@@ -14,11 +14,11 @@ use pathcons_core::{
     Solver, SolverError, UnknownReason,
 };
 use pathcons_graph::LabelInterner;
-use pathcons_metrics::{names, Counter, Histogram, MetricsRegistry};
+use pathcons_metrics::{names, Counter, Histogram, MetricsRegistry, MetricsSnapshot};
 use pathcons_telemetry::{schema, SpanGuard};
 use pathcons_types::{example_bibliography_schema, example_bibliography_schema_m, TypeGraph};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -59,11 +59,6 @@ pub struct EngineConfig {
     /// the production setting) injects nothing; the CLI installs a plan
     /// only under `--chaos seed=N`.
     pub chaos: Option<FaultPlan>,
-    /// Live metrics registry. `None` (the default) records nothing; the
-    /// resident service installs a shared registry so engine-side
-    /// verdict counts, cache outcomes, and solve latency land in the
-    /// same exposition as the serve-side counters.
-    pub metrics: Option<Arc<MetricsRegistry>>,
 }
 
 impl Default for EngineConfig {
@@ -76,19 +71,21 @@ impl Default for EngineConfig {
             retry: RetryPolicy::default(),
             shed: ShedPolicy::unlimited(),
             chaos: None,
-            metrics: None,
         }
     }
 }
 
 /// Pre-resolved metric handles for the engine's hot paths: recording a
-/// verdict or a cache outcome is a relaxed atomic increment, never a
-/// registry lookup. Rare events (unknown kinds, certificate checks,
-/// resilience tallies) go through the registry's get-or-insert path.
+/// verdict, a cache outcome or an eviction is a relaxed atomic
+/// increment, never a registry lookup. Rare events (unknown kinds,
+/// certificate checks, verify re-solves, resilience events) go through
+/// the registry's get-or-insert path, so a family appears in the
+/// exposition once its first event happens.
 struct EngineMetrics {
     registry: Arc<MetricsRegistry>,
     cache_hits: Arc<Counter>,
     cache_misses: Arc<Counter>,
+    cache_evictions: Arc<Counter>,
     solve_micros: Arc<Histogram>,
     verdict_implied: Arc<Counter>,
     verdict_not_implied: Arc<Counter>,
@@ -116,6 +113,11 @@ impl EngineMetrics {
                 names::CACHE_LOOKUPS_TOTAL,
                 names::CACHE_LOOKUPS_TOTAL_HELP,
                 &[("outcome", "miss")],
+            ),
+            cache_evictions: registry.counter(
+                names::CACHE_EVICTIONS_TOTAL,
+                names::CACHE_EVICTIONS_TOTAL_HELP,
+                &[],
             ),
             solve_micros: registry.histogram(names::SOLVE_MICROS, names::SOLVE_MICROS_HELP, &[]),
             verdict_implied: verdict(Verdict::Implied.as_str()),
@@ -154,6 +156,16 @@ impl EngineMetrics {
             .add(1);
     }
 
+    fn verification(&self, agreed: bool) {
+        self.registry
+            .counter(
+                names::CACHE_VERIFY_TOTAL,
+                names::CACHE_VERIFY_TOTAL_HELP,
+                &[("result", if agreed { "agree" } else { "mismatch" })],
+            )
+            .add(1);
+    }
+
     fn resilience(&self, event: &str, n: u64) {
         if n > 0 {
             self.registry
@@ -163,6 +175,62 @@ impl EngineMetrics {
                     &[("event", event)],
                 )
                 .add(n);
+        }
+    }
+}
+
+/// A `pathcons_resilience_total{event=…}` sample of a snapshot.
+fn resilience_events(snap: &MetricsSnapshot, event: &str) -> u64 {
+    snap.counter(names::RESILIENCE_TOTAL, &[("event", event)])
+}
+
+/// The engine's cache counters, read from a snapshot of its metrics
+/// registry. A view, not a store: the registry is where the engine
+/// records every cache event.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CacheStats {
+    /// Answers served from the cache — the lookups whose job result
+    /// reads `"cache":"hit"`.
+    pub hits: u64,
+    /// Lookups that fell through to a fresh solve: nothing was stored,
+    /// or the stored entry failed the hit-validator or its certificate
+    /// check.
+    pub misses: u64,
+    /// Entries displaced by capacity pressure.
+    pub evictions: u64,
+    /// Verify-mode re-solves performed on hits.
+    pub verifications: u64,
+    /// Verify-mode re-solves that disagreed with the cached answer.
+    pub verify_mismatches: u64,
+    /// Times the cache was cleared to recover from lock poisoning.
+    pub poison_resets: u64,
+    /// Lookups whose entry the hit-validator (or the cache's own
+    /// map/slot consistency check) rejected instead of serving.
+    pub validation_evictions: u64,
+    /// Hits served after their stored certificate validated
+    /// (`--verify` check mode).
+    pub checked_hits: u64,
+    /// Hits whose stored certificate failed the checker; the entry was
+    /// evicted and the query re-solved fresh.
+    pub cert_invalid: u64,
+}
+
+impl CacheStats {
+    /// The cache counters recorded in `snap`.
+    pub fn from_snapshot(snap: &MetricsSnapshot) -> CacheStats {
+        let lookups = |outcome| snap.counter(names::CACHE_LOOKUPS_TOTAL, &[("outcome", outcome)]);
+        let verify = |result| snap.counter(names::CACHE_VERIFY_TOTAL, &[("result", result)]);
+        let certcheck = |result| snap.counter(names::CERTCHECK_TOTAL, &[("result", result)]);
+        CacheStats {
+            hits: lookups("hit"),
+            misses: lookups("miss"),
+            evictions: snap.counter(names::CACHE_EVICTIONS_TOTAL, &[]),
+            verifications: verify("agree") + verify("mismatch"),
+            verify_mismatches: verify("mismatch"),
+            poison_resets: resilience_events(snap, "poison_reset"),
+            validation_evictions: resilience_events(snap, "validation_evict"),
+            checked_hits: certcheck("valid"),
+            cert_invalid: certcheck("invalid"),
         }
     }
 }
@@ -190,26 +258,20 @@ pub struct BatchEngine {
     /// whatever tore the structure until an operator calls
     /// [`BatchEngine::exit_degraded`].
     degraded: AtomicBool,
-    /// Inserts skipped because the engine was degraded.
-    degraded_skips: AtomicU64,
-    /// Pre-resolved metric handles, present iff `config.metrics` is.
-    metrics: Option<EngineMetrics>,
+    /// The engine's metrics registry — the only place its counters
+    /// live — with pre-resolved hot-path handles.
+    metrics: EngineMetrics,
 }
 
 impl BatchEngine {
     /// An engine with the given configuration.
     pub fn new(config: EngineConfig) -> BatchEngine {
         let cache = Mutex::new(AnswerCache::new(config.cache_capacity));
-        let metrics = config
-            .metrics
-            .as_ref()
-            .map(|r| EngineMetrics::new(Arc::clone(r)));
         BatchEngine {
             config,
             cache,
             degraded: AtomicBool::new(false),
-            degraded_skips: AtomicU64::new(0),
-            metrics,
+            metrics: EngineMetrics::new(Arc::new(MetricsRegistry::new())),
         }
     }
 
@@ -218,15 +280,18 @@ impl BatchEngine {
         &self.config
     }
 
+    /// The engine's metrics registry: verdicts, cache outcomes and
+    /// evictions, certificate checks, resilience events and solve
+    /// latency. A resident service records its own families into the
+    /// same registry, so one snapshot carries both sides.
+    pub fn metrics(&self) -> &Arc<MetricsRegistry> {
+        &self.metrics.registry
+    }
+
     /// Whether the engine is in degraded read-only mode (a poison
     /// recovery had to reset the cache).
     pub fn is_degraded(&self) -> bool {
         self.degraded.load(Ordering::Relaxed)
-    }
-
-    /// Inserts skipped so far because the engine was degraded.
-    pub fn degraded_skips(&self) -> u64 {
-        self.degraded_skips.load(Ordering::Relaxed)
     }
 
     /// Clears degraded mode after an operator has investigated; the
@@ -241,7 +306,7 @@ impl BatchEngine {
     /// the panic unwound out of a mutating cache method, the LRU
     /// structure may be torn; [`AnswerCache::recover_after_poison`]
     /// detects exactly that case and clears the cache (counting a
-    /// [`CacheStats::poison_resets`]), while a benign holder panic
+    /// `poison_reset` resilience event), while a benign holder panic
     /// keeps every entry. A `std::sync` mutex stays poisoned forever,
     /// so the recovery check runs on every post-poison acquisition —
     /// it is a no-op when the cache is consistent.
@@ -255,28 +320,28 @@ impl BatchEngine {
                     // degraded read-only mode so a repeat offender
                     // cannot keep tearing and resetting the cache.
                     self.degraded.store(true, Ordering::Relaxed);
+                    self.metrics.resilience("poison_reset", 1);
                 }
                 guard
             }
         }
     }
 
-    /// Cache counters so far.
+    /// Stores an entry, counting the eviction it may cause.
+    fn cache_insert(&self, key: QueryKey, entry: CachedEntry) {
+        if self.cache_guard().insert(key, entry) {
+            self.metrics.cache_evictions.add(1);
+        }
+    }
+
+    /// Cache counters so far, read from the registry.
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache_guard().stats()
+        CacheStats::from_snapshot(&self.metrics().snapshot())
     }
 
     /// Live cache entries.
     pub fn cache_len(&self) -> usize {
         self.cache_guard().len()
-    }
-
-    /// Counters and live entry count read under a single lock
-    /// acquisition, so the two views are mutually consistent even while
-    /// other threads are solving.
-    pub fn cache_snapshot(&self) -> (CacheStats, usize) {
-        let guard = self.cache_guard();
-        (guard.stats(), guard.len())
     }
 
     /// Solves `Σ ⊨ φ` through the cache with the engine's base budget.
@@ -355,25 +420,26 @@ impl BatchEngine {
             revision,
             ..canon.key.clone()
         };
-        let cached = self.cache_guard().lookup(&cache_key);
+        // Bound first: a guard in the match scrutinee would stay locked
+        // through the arms, which lock again.
+        let found = self.cache_guard().lookup(&cache_key);
         // Hit-validation: never serve a structurally implausible entry.
         // A torn write (chaos-injected or real) is detected here, the
         // entry evicted, and the query falls through to a fresh solve.
-        let mut cached = match cached {
-            Some(entry) => match resilience::validate_hit(&entry) {
+        let mut cached = match found {
+            Lookup::Found(entry) => match resilience::validate_hit(&entry) {
                 Ok(()) => Some(entry),
                 Err(_why) => {
                     self.cache_guard().evict_invalid(&cache_key);
-                    if let Some(rec) = rec {
-                        rec.counter("cache.validation_evict", 1);
-                    }
-                    if let Some(m) = &self.metrics {
-                        m.resilience("validation_evict", 1);
-                    }
+                    self.note_validation_evict(rec);
                     None
                 }
             },
-            None => None,
+            Lookup::Torn => {
+                self.note_validation_evict(rec);
+                None
+            }
+            Lookup::Absent => None,
         };
         // Check mode: validate the stored certificate with the trusted
         // checker before serving. Orders of magnitude cheaper than a
@@ -384,26 +450,20 @@ impl BatchEngine {
                 match entry_certificate_status(entry, &canon) {
                     CertStatus::Absent => {}
                     CertStatus::Valid => {
-                        self.cache_guard().note_certcheck(true);
                         if let Some(rec) = rec {
                             rec.counter("cache.cert_valid", 1);
                         }
-                        if let Some(m) = &self.metrics {
-                            m.certcheck("valid");
-                        }
+                        self.metrics.certcheck("valid");
                     }
                     CertStatus::Invalid => {
                         // A corrupted certificate impeaches the whole
                         // entry: evict and re-solve, exactly like a
                         // failed structural validation.
-                        self.cache_guard().note_certcheck(false);
                         self.cache_guard().evict_invalid(&cache_key);
                         if let Some(rec) = rec {
                             rec.counter("cache.cert_invalid", 1);
                         }
-                        if let Some(m) = &self.metrics {
-                            m.certcheck("invalid");
-                        }
+                        self.metrics.certcheck("invalid");
                         cached = None;
                     }
                 }
@@ -413,9 +473,7 @@ impl BatchEngine {
             if let Some(rec) = rec {
                 rec.counter("cache.hit", 1);
             }
-            if let Some(m) = &self.metrics {
-                m.cache_hits.add(1);
-            }
+            self.metrics.cache_hits.add(1);
             let certificate = entry.certificate.clone();
             let answer = adapt_answer(entry, &canon);
             if self.config.verify == VerifyMode::Resolve {
@@ -426,7 +484,7 @@ impl BatchEngine {
                     .with_budget(budget)
                     .implies(sigma, phi)?;
                 let agreed = same_answer_shape(&answer, &fresh);
-                self.cache_guard().note_verification(agreed);
+                self.metrics.verification(agreed);
                 if let Some(rec) = rec {
                     rec.counter("cache.verify", 1);
                     if !agreed {
@@ -446,9 +504,7 @@ impl BatchEngine {
         if let Some(rec) = rec {
             rec.counter("cache.miss", 1);
         }
-        if let Some(m) = &self.metrics {
-            m.cache_misses.add(1);
-        }
+        self.metrics.cache_misses.add(1);
         let mut solver = Solver::new(context.clone()).with_budget(budget);
         if let Some(shared) = shared {
             solver = solver.with_shared(Arc::clone(shared));
@@ -462,18 +518,15 @@ impl BatchEngine {
         if cacheable(&answer) {
             if self.degraded.load(Ordering::Relaxed) {
                 // Degraded read-only mode: keep answering, stop writing.
-                self.degraded_skips.fetch_add(1, Ordering::Relaxed);
                 if let Some(rec) = rec {
                     rec.counter("cache.degraded_skip", 1);
                 }
-                if let Some(m) = &self.metrics {
-                    m.resilience("degraded_skip", 1);
-                }
+                self.metrics.resilience("degraded_skip", 1);
             } else {
                 if let Some(rec) = rec {
                     rec.counter("cache.insert", 1);
                 }
-                self.cache_guard().insert(
+                self.cache_insert(
                     cache_key,
                     CachedEntry {
                         answer: answer.clone(),
@@ -486,18 +539,24 @@ impl BatchEngine {
         Ok((answer, CacheOutcome::Miss, certificate))
     }
 
+    /// Counts one cached entry rejected by the hit-validator.
+    fn note_validation_evict(&self, rec: Option<&dyn pathcons_telemetry::Recorder>) {
+        if let Some(rec) = rec {
+            rec.counter("cache.validation_evict", 1);
+        }
+        self.metrics.resilience("validation_evict", 1);
+    }
+
     /// Runs a batch of JSONL jobs across the worker pool and reports
     /// per-job results plus batch statistics.
     ///
-    /// The batch's cache deltas are computed from counter snapshots
-    /// taken before and after the run — necessarily under *separate*
-    /// lock acquisitions, since the batch itself runs in between. If
-    /// other threads call `solve` concurrently with the batch, their
-    /// cache activity lands inside the window and is attributed to the
-    /// batch; the deltas are an upper bound, not an exact per-batch
-    /// count. (A poison reset inside the window can also shrink
-    /// counters; `BatchStats::collect` saturates rather than
-    /// panicking.)
+    /// The batch's cache and resilience counts are deltas of two
+    /// snapshots of the engine's metrics registry, taken before and
+    /// after the run. If other threads call `solve` concurrently with
+    /// the batch, their activity lands inside the window and is
+    /// attributed to the batch; the deltas are an upper bound, not an
+    /// exact per-batch count. Latency percentiles come from the batch's
+    /// own results, so they are exact.
     pub fn run_batch(&self, jobs: Vec<Job>) -> BatchReport {
         let telemetry = self.config.budget.telemetry.clone();
         let rec = telemetry.active();
@@ -508,8 +567,7 @@ impl BatchEngine {
         // can expire while still queued (and are then answered without
         // occupying a worker slot — see `run_one`'s fast path).
         let admitted = wall_start;
-        let stats_before = self.cache_stats();
-        let degraded_skips_before = self.degraded_skips();
+        let before = self.metrics().snapshot();
 
         // Admission control: everything beyond the configured queue
         // depth is shed with an immediate `Unknown(Overloaded)` — a
@@ -540,7 +598,6 @@ impl BatchEngine {
             self.config.threads
         };
 
-        let queued_expired = AtomicU64::new(0);
         let (outcomes, exec) = executor::run_supervised(
             threads,
             jobs,
@@ -548,7 +605,7 @@ impl BatchEngine {
             &deadlines,
             &|idx, attempt, job: Job| {
                 let request_id = job.request_id.clone();
-                let mut result = self.run_one(idx, attempt, job, deadlines[idx], &queued_expired);
+                let mut result = self.run_one(idx, attempt, job, deadlines[idx]);
                 // A result that does not echo its own job id is corrupt
                 // (the malformed-result fault, or a genuine bug). Treat
                 // it exactly like a job panic: the supervisor respawns
@@ -600,28 +657,18 @@ impl BatchEngine {
             });
         }
 
+        let m = &self.metrics;
+        m.resilience("respawn", exec.respawns);
+        m.resilience("retry", exec.retries);
+        m.resilience("abandoned", exec.abandoned);
+        m.resilience("shed", shed as u64);
         let stats = BatchStats::collect(
             &results,
-            self.cache_stats(),
-            stats_before,
+            &before,
+            &self.metrics().snapshot(),
             wall_start.elapsed(),
-            ResilienceTallies {
-                respawns: exec.respawns,
-                retries: exec.retries,
-                abandoned: exec.abandoned,
-                shed: shed as u64,
-                queued_expired: queued_expired.load(Ordering::Relaxed),
-                degraded_skips: self.degraded_skips() - degraded_skips_before,
-                degraded: self.is_degraded(),
-            },
+            self.is_degraded(),
         );
-        if let Some(m) = &self.metrics {
-            m.resilience("respawn", exec.respawns);
-            m.resilience("retry", exec.retries);
-            m.resilience("abandoned", exec.abandoned);
-            m.resilience("shed", shed as u64);
-            m.resilience("queued_expired", queued_expired.load(Ordering::Relaxed));
-        }
         if let Some(rec) = rec {
             rec.event(
                 schema::EVENT_BATCH_DONE,
@@ -716,16 +763,14 @@ impl BatchEngine {
 
     /// Runs one job on a worker: parse, solve through the cache, shape
     /// the result. `deadline_at` is the job's absolute deadline (armed
-    /// at admission); `queued_expired` counts deadline fast-path
-    /// answers. Chaos faults (if a plan is installed) fire only on
-    /// attempt 0, so supervised retries always run clean.
+    /// at admission). Chaos faults (if a plan is installed) fire only
+    /// on attempt 0, so supervised retries always run clean.
     fn run_one(
         &self,
         idx: usize,
         attempt: usize,
         job: Job,
         deadline_at: Option<Instant>,
-        queued_expired: &AtomicU64,
     ) -> JobResult {
         let telemetry = self.config.budget.telemetry.clone();
         let rec = telemetry.active();
@@ -755,7 +800,7 @@ impl BatchEngine {
         // has already given up.
         if let Some(deadline) = deadline_at {
             if Instant::now() >= deadline {
-                queued_expired.fetch_add(1, Ordering::Relaxed);
+                self.metrics.resilience("queued_expired", 1);
                 if let Some(rec) = rec {
                     rec.counter("batch.queued_expired", 1);
                 }
@@ -883,13 +928,12 @@ impl BatchEngine {
         // solve-latency histogram all land here, the single choke point
         // every answered job (batch worker or resident serve loop)
         // passes through.
-        if let Some(m) = &self.metrics {
-            m.verdict(result.verdict).add(1);
-            if let Some(kind) = &result.unknown_kind {
-                m.unknown_kind(kind);
-            }
-            m.solve_micros.record(result.micros);
+        let m = &self.metrics;
+        m.verdict(result.verdict).add(1);
+        if let Some(kind) = &result.unknown_kind {
+            m.unknown_kind(kind);
         }
+        m.solve_micros.record(result.micros);
         result
     }
 
@@ -922,7 +966,7 @@ impl BatchEngine {
         revision: u64,
     ) {
         let canon = canon::canonicalize(context, sigma, phi);
-        self.cache_guard().insert(
+        self.cache_insert(
             QueryKey {
                 revision,
                 ..canon.key
@@ -1454,34 +1498,23 @@ pub struct BatchStats {
     /// Hits whose certificate the checker rejected (entry evicted, job
     /// re-solved fresh). Any non-zero value is an alarm bell.
     pub cert_invalid: u64,
-    /// Whether a cache counter moved *backwards* between the batch's
-    /// before/after snapshots — the signature of a poison reset (or
-    /// other cache reset) inside the window. When set, the cache deltas
-    /// above are lower bounds, not exact counts; previously the
-    /// saturating subtraction masked this silently.
+    /// Whether a counter moved *backwards* between the batch's
+    /// before/after registry snapshots. Registry counters are
+    /// monotonic, so this never fires on a sound engine; when set, the
+    /// deltas above are lower bounds, not exact counts.
     pub counters_reset: bool,
 }
 
-/// Recovery-action tallies handed from `run_batch` to
-/// [`BatchStats::collect`] (executor counters plus admission-control
-/// counts that no cache snapshot carries).
-struct ResilienceTallies {
-    respawns: u64,
-    retries: u64,
-    abandoned: u64,
-    shed: u64,
-    queued_expired: u64,
-    degraded_skips: u64,
-    degraded: bool,
-}
-
 impl BatchStats {
+    /// Batch statistics from the batch's results (verdict counts,
+    /// exact latency percentiles) and the deltas between two snapshots
+    /// of the engine's registry (cache and resilience counts).
     fn collect(
         results: &[JobResult],
-        after: CacheStats,
-        before: CacheStats,
+        before: &MetricsSnapshot,
+        after: &MetricsSnapshot,
         wall: Duration,
-        tallies: ResilienceTallies,
+        degraded: bool,
     ) -> BatchStats {
         let mut latencies: Vec<u64> = results.iter().map(|r| r.micros).collect();
         latencies.sort_unstable();
@@ -1493,31 +1526,28 @@ impl BatchStats {
             latencies[rank.min(latencies.len() - 1)]
         };
         let count = |v: Verdict| results.iter().filter(|r| r.verdict == v).count();
-        // The two snapshots come from separate lock acquisitions (see
-        // `run_batch`); a poison reset between them can make `after`
-        // lag `before`. Saturating alone would silently mask that
-        // regression, so any backwards-moving counter additionally
-        // raises `counters_reset` — the deltas are then lower bounds.
+        // Saturating alone would silently mask a counter that moved
+        // backwards, so any such counter also raises `counters_reset`.
         let mut counters_reset = false;
-        let mut delta = |a: u64, b: u64| {
-            if a < b {
-                counters_reset = true;
-            }
+        let mut delta = |(a, b): (u64, u64)| {
+            counters_reset |= a < b;
             a.saturating_sub(b)
         };
-        let hits = delta(after.hits, before.hits);
-        let misses = delta(after.misses, before.misses);
-        let evictions = delta(after.evictions, before.evictions);
-        let verify_mismatches = delta(after.verify_mismatches, before.verify_mismatches);
-        let poison_resets = delta(after.poison_resets, before.poison_resets);
-        let validation_evictions = delta(after.validation_evictions, before.validation_evictions);
-        let checked_hits = delta(after.checked_hits, before.checked_hits);
-        let cert_invalid = delta(after.cert_invalid, before.cert_invalid);
+        let (now, then) = (
+            CacheStats::from_snapshot(after),
+            CacheStats::from_snapshot(before),
+        );
+        let events = |event| {
+            (
+                resilience_events(after, event),
+                resilience_events(before, event),
+            )
+        };
         BatchStats {
             jobs: results.len(),
-            hits,
-            misses,
-            evictions,
+            hits: delta((now.hits, then.hits)),
+            misses: delta((now.misses, then.misses)),
+            evictions: delta((now.evictions, then.evictions)),
             implied: count(Verdict::Implied),
             not_implied: count(Verdict::NotImplied),
             unknown: count(Verdict::Unknown),
@@ -1526,18 +1556,18 @@ impl BatchStats {
             p99_micros: percentile(0.99),
             max_micros: latencies.last().copied().unwrap_or(0),
             wall_micros: wall.as_micros() as u64,
-            verify_mismatches,
-            respawns: tallies.respawns,
-            retries: tallies.retries,
-            abandoned: tallies.abandoned,
-            shed: tallies.shed,
-            queued_expired: tallies.queued_expired,
-            poison_resets,
-            validation_evictions,
-            degraded_skips: tallies.degraded_skips,
-            degraded: tallies.degraded,
-            checked_hits,
-            cert_invalid,
+            verify_mismatches: delta((now.verify_mismatches, then.verify_mismatches)),
+            respawns: delta(events("respawn")),
+            retries: delta(events("retry")),
+            abandoned: delta(events("abandoned")),
+            shed: delta(events("shed")),
+            queued_expired: delta(events("queued_expired")),
+            poison_resets: delta((now.poison_resets, then.poison_resets)),
+            validation_evictions: delta((now.validation_evictions, then.validation_evictions)),
+            degraded_skips: delta(events("degraded_skip")),
+            degraded,
+            checked_hits: delta((now.checked_hits, then.checked_hits)),
+            cert_invalid: delta((now.cert_invalid, then.cert_invalid)),
             counters_reset,
         }
     }
@@ -1903,9 +1933,12 @@ mod tests {
         })
         .join();
 
-        let (stats, len) = engine.cache_snapshot();
-        assert_eq!(len, 1, "a benign holder panic loses no entries");
-        assert_eq!(stats.poison_resets, 0);
+        assert_eq!(
+            engine.cache_len(),
+            1,
+            "a benign holder panic loses no entries"
+        );
+        assert_eq!(engine.cache_stats().poison_resets, 0);
         let (answer, cache) = solve_text(&engine, "a -> b\nb -> c", "a -> c");
         assert!(answer.outcome.is_implied());
         assert_eq!(cache, CacheOutcome::Hit);
@@ -2005,7 +2038,9 @@ mod tests {
         let canon = canon::canonicalize(&DataContext::Semistructured, &sigma, &phi);
         {
             let mut guard = engine.cache_guard();
-            let mut entry = guard.lookup(&canon.key).expect("entry cached");
+            let Lookup::Found(mut entry) = guard.lookup(&canon.key) else {
+                panic!("entry cached");
+            };
             let certificate = entry.certificate.as_mut().expect("entry certified");
             certificate.snapshot ^= 1;
             guard.insert(canon.key.clone(), entry);
@@ -2021,6 +2056,22 @@ mod tests {
         let stats = engine.cache_stats();
         assert_eq!(stats.cert_invalid, 1);
         assert_eq!(stats.checked_hits, 0);
+
+        // The re-solved entry hits. The rejected lookup is a miss in the
+        // job outcomes, the stats view and the registry alike.
+        let (_, c3) = engine
+            .solve(&DataContext::Semistructured, &sigma, &phi)
+            .unwrap();
+        assert_eq!(
+            (c1, c2, c3),
+            (CacheOutcome::Miss, CacheOutcome::Miss, CacheOutcome::Hit)
+        );
+        let stats = engine.cache_stats();
+        let snap = engine.metrics().snapshot();
+        let lookups = |outcome| snap.counter(names::CACHE_LOOKUPS_TOTAL, &[("outcome", outcome)]);
+        assert_eq!((stats.hits, stats.misses), (1, 2));
+        assert_eq!((lookups("hit"), lookups("miss")), (1, 2));
+        assert_eq!(stats.checked_hits, 1);
     }
 
     #[test]
@@ -2167,39 +2218,82 @@ mod tests {
     }
 
     #[test]
+    fn a_poison_reset_does_not_move_the_cache_counters() {
+        let engine = BatchEngine::new(EngineConfig {
+            cache_capacity: 1,
+            ..EngineConfig::default()
+        });
+        solve_text(&engine, "a -> b", "a -> b");
+        solve_text(&engine, "a -> b", "a -> b");
+        solve_text(&engine, "a -> b\nb -> c", "a -> c"); // evicts the first
+        let before = engine.cache_stats();
+        assert_eq!((before.hits, before.misses, before.evictions), (1, 2, 1));
+
+        // Tear the cache mid-mutation: the next acquisition resets it.
+        engine.chaos_poison_lock();
+        assert_eq!(engine.cache_len(), 0, "the torn cache was cleared");
+        assert!(engine.is_degraded());
+        let after = engine.cache_stats();
+        assert_eq!(after.poison_resets, 1);
+        assert_eq!(
+            CacheStats {
+                poison_resets: 0,
+                ..after
+            },
+            before,
+            "the reset moved no other cache counter"
+        );
+    }
+
+    #[test]
+    fn torn_map_entries_count_a_validation_evict_and_a_miss() {
+        let engine = BatchEngine::new(EngineConfig::default());
+        let mut labels = LabelInterner::new();
+        let sigma = parse_constraints("a -> b\nb -> c", &mut labels).unwrap();
+        let phi = PathConstraint::parse("a -> c", &mut labels).unwrap();
+        let other = PathConstraint::parse("a -> b", &mut labels).unwrap();
+        let solve = |phi| {
+            engine
+                .solve(&DataContext::Semistructured, &sigma, phi)
+                .unwrap()
+                .1
+        };
+        let key = canon::canonicalize(&DataContext::Semistructured, &sigma, &phi).key;
+        // The first entry of an empty cache is stored in slot 0.
+        assert_eq!(solve(&other), CacheOutcome::Miss);
+        // Tear the map as a panic mid-insert could: point the key at a
+        // slot never allocated, then at another key's live slot.
+        for (slot, rejected) in [(999, 1), (0, 2)] {
+            engine.cache_guard().tear_mapping(key.clone(), slot);
+            assert_eq!(solve(&phi), CacheOutcome::Miss, "a torn entry is a miss");
+            let stats = engine.cache_stats();
+            assert_eq!(stats.validation_evictions, rejected);
+            assert_eq!((stats.hits, stats.misses), (0, 1 + rejected));
+        }
+        // The legitimate entry is untouched throughout.
+        assert_eq!(solve(&other), CacheOutcome::Hit);
+    }
+
+    #[test]
     fn counter_regressions_surface_counters_reset() {
-        let tallies = || ResilienceTallies {
-            respawns: 0,
-            retries: 0,
-            abandoned: 0,
-            shed: 0,
-            queued_expired: 0,
-            degraded_skips: 0,
-            degraded: false,
+        let hits = |n: u64| {
+            let mut snap = MetricsSnapshot::default();
+            snap.set(
+                names::CACHE_LOOKUPS_TOTAL,
+                pathcons_metrics::MetricKind::Counter,
+                names::CACHE_LOOKUPS_TOTAL_HELP,
+                vec![("outcome".to_owned(), "hit".to_owned())],
+                pathcons_metrics::SampleValue::Counter(n),
+            );
+            snap
         };
         // Monotone counters: exact deltas, no reset flag.
-        let before = CacheStats {
-            hits: 2,
-            ..CacheStats::default()
-        };
-        let after = CacheStats {
-            hits: 5,
-            ..CacheStats::default()
-        };
-        let clean = BatchStats::collect(&[], after, before, Duration::ZERO, tallies());
+        let clean = BatchStats::collect(&[], &hits(2), &hits(5), Duration::ZERO, false);
         assert_eq!(clean.hits, 3);
         assert!(!clean.counters_reset);
-        // A counter that moved backwards (cache reset mid-batch) must
-        // raise the flag instead of being silently saturated away.
-        let before = CacheStats {
-            hits: 10,
-            ..CacheStats::default()
-        };
-        let after = CacheStats {
-            hits: 4,
-            ..CacheStats::default()
-        };
-        let reset = BatchStats::collect(&[], after, before, Duration::ZERO, tallies());
+        // A counter that moved backwards must raise the flag instead of
+        // being silently saturated away.
+        let reset = BatchStats::collect(&[], &hits(10), &hits(4), Duration::ZERO, false);
         assert_eq!(reset.hits, 0, "delta is a lower bound, not a panic");
         assert!(reset.counters_reset);
         assert!(reset.render().contains("COUNTERS RESET"));

@@ -1,5 +1,10 @@
 //! The canonicalizing answer cache: a bounded LRU from [`QueryKey`] to
-//! solved [`Answer`]s, with hit/miss/eviction counters.
+//! solved [`Answer`]s.
+//!
+//! The cache keeps no counters. Each mutating method reports what
+//! happened (a hit, a torn mapping, an eviction, a reset) and the
+//! owning [`crate::BatchEngine`] records it in its metrics registry, the
+//! one place engine counters live.
 //!
 //! Entries store the answer *in the label space of the query that
 //! inserted it*, together with that query's renaming into the canonical
@@ -11,35 +16,6 @@ use crate::canon::{QueryKey, Renaming};
 use pathcons_cert::Certificate;
 use pathcons_core::Answer;
 use std::collections::HashMap;
-
-/// Monotonic counters describing cache behaviour.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups that found an entry.
-    pub hits: u64,
-    /// Lookups that found nothing.
-    pub misses: u64,
-    /// Entries displaced by capacity pressure.
-    pub evictions: u64,
-    /// Entries stored (including overwrites of the same key).
-    pub insertions: u64,
-    /// Verify-mode re-solves performed on hits.
-    pub verifications: u64,
-    /// Verify-mode re-solves that disagreed with the cached answer.
-    pub verify_mismatches: u64,
-    /// Times the cache was cleared to recover from lock poisoning.
-    pub poison_resets: u64,
-    /// Entries rejected at serve time — by the structural hit-validator
-    /// or by the cache's own map/slot consistency check — and evicted
-    /// instead of served.
-    pub validation_evictions: u64,
-    /// Hits served after their stored certificate validated
-    /// (`--verify` check mode).
-    pub checked_hits: u64,
-    /// Hits whose stored certificate failed the checker; the entry was
-    /// evicted and the query re-solved fresh.
-    pub cert_invalid: u64,
-}
 
 /// A cached answer plus the inserting query's renaming into the
 /// canonical label space.
@@ -65,10 +41,22 @@ struct Slot {
     next: usize,
 }
 
+/// What [`AnswerCache::lookup`] found under a key.
+#[derive(Clone, Debug)]
+pub enum Lookup {
+    /// A live entry (a clone; recency refreshed).
+    Found(CachedEntry),
+    /// Nothing stored under the key.
+    Absent,
+    /// A torn mapping — a dead slot, or a slot holding another key —
+    /// which was dropped instead of served.
+    Torn,
+}
+
 /// A bounded LRU cache over canonical query keys.
 ///
 /// Capacity 0 disables caching: every lookup misses and inserts are
-/// dropped (counters still run, so a disabled cache is observable).
+/// dropped.
 pub struct AnswerCache {
     capacity: usize,
     map: HashMap<QueryKey, usize>,
@@ -76,7 +64,6 @@ pub struct AnswerCache {
     free: Vec<usize>,
     head: usize,
     tail: usize,
-    stats: CacheStats,
     /// Set while a structural mutation is in flight; a panic that
     /// unwinds out of a mutating method leaves it set, which is how
     /// [`AnswerCache::recover_after_poison`] tells a torn cache from a
@@ -94,7 +81,6 @@ impl AnswerCache {
             free: Vec::new(),
             head: NIL,
             tail: NIL,
-            stats: CacheStats::default(),
             mutating: false,
         }
     }
@@ -109,29 +95,22 @@ impl AnswerCache {
         self.map.is_empty()
     }
 
-    /// The counters so far.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
-    }
-
-    /// Looks up a canonical key, counting a hit or miss and refreshing
-    /// recency on hit. Returns a clone (entries stay owned by the cache).
+    /// Looks up a canonical key, refreshing recency on a find. A found
+    /// entry is returned as a clone (entries stay owned by the cache).
     ///
     /// Defensive against torn state: a mapped index whose slot is dead,
     /// or whose slot stores a *different* key than the map said (the
-    /// canonical-key half of the hit-validator), is treated as a miss —
-    /// the mapping is dropped and a
-    /// [`CacheStats::validation_evictions`] is counted — rather than
-    /// served or panicked on.
-    pub fn lookup(&mut self, key: &QueryKey) -> Option<CachedEntry> {
+    /// canonical-key half of the hit-validator), is reported as
+    /// [`Lookup::Torn`] — the mapping is dropped rather than served or
+    /// panicked on.
+    pub fn lookup(&mut self, key: &QueryKey) -> Lookup {
         self.mutating = true;
         let result = match self.map.get(key).copied() {
             Some(idx) => match self.slots.get(idx).and_then(Option::as_ref) {
                 Some(slot) if slot.key == *key => {
-                    self.stats.hits += 1;
                     self.unlink(idx);
                     self.push_front(idx);
-                    Some(
+                    Lookup::Found(
                         self.slots[idx]
                             .as_ref()
                             .expect("slot checked live above")
@@ -142,23 +121,17 @@ impl AnswerCache {
                 _ => {
                     // Torn map entry: never serve it.
                     self.map.remove(key);
-                    self.stats.validation_evictions += 1;
-                    self.stats.misses += 1;
-                    None
+                    Lookup::Torn
                 }
             },
-            None => {
-                self.stats.misses += 1;
-                None
-            }
+            None => Lookup::Absent,
         };
         self.mutating = false;
         result
     }
 
-    /// Removes an entry the hit-validator rejected, counting a
-    /// [`CacheStats::validation_evictions`]. Returns whether the key
-    /// was present.
+    /// Removes an entry the hit-validator rejected. Returns whether the
+    /// key was present.
     pub fn evict_invalid(&mut self, key: &QueryKey) -> bool {
         self.mutating = true;
         let removed = match self.map.remove(key) {
@@ -172,20 +145,18 @@ impl AnswerCache {
                 true
             }
         };
-        if removed {
-            self.stats.validation_evictions += 1;
-        }
         self.mutating = false;
         removed
     }
 
     /// Stores an entry, evicting the least-recently-used one if full.
-    pub fn insert(&mut self, key: QueryKey, entry: CachedEntry) {
+    /// Returns whether an entry was evicted to make room (an overwrite
+    /// of a live key evicts nothing).
+    pub fn insert(&mut self, key: QueryKey, entry: CachedEntry) -> bool {
         if self.capacity == 0 {
-            return;
+            return false;
         }
         self.mutating = true;
-        self.stats.insertions += 1;
         if let Some(idx) = self.map.get(&key).copied() {
             // Overwrite in place (a concurrent miss may have re-solved).
             let slot = self.slots[idx].as_mut().expect("mapped slot is live");
@@ -193,16 +164,16 @@ impl AnswerCache {
             self.unlink(idx);
             self.push_front(idx);
             self.mutating = false;
-            return;
+            return false;
         }
-        if self.map.len() >= self.capacity {
+        let evicted = self.map.len() >= self.capacity;
+        if evicted {
             let lru = self.tail;
             debug_assert_ne!(lru, NIL);
             self.unlink(lru);
             let slot = self.slots[lru].take().expect("tail slot is live");
             self.map.remove(&slot.key);
             self.free.push(lru);
-            self.stats.evictions += 1;
         }
         let idx = match self.free.pop() {
             Some(idx) => idx,
@@ -220,6 +191,7 @@ impl AnswerCache {
         self.map.insert(key, idx);
         self.push_front(idx);
         self.mutating = false;
+        evicted
     }
 
     /// Restores consistency after the enclosing lock was poisoned.
@@ -228,8 +200,7 @@ impl AnswerCache {
     /// intact, and this is a no-op. A panic that unwound out of a
     /// mutating cache method (the `mutating` marker is still set) may
     /// have torn the LRU list or slot table, so every entry is
-    /// discarded and the structure returns to a sound empty state;
-    /// counters survive and [`CacheStats::poison_resets`] is bumped.
+    /// discarded and the structure returns to a sound empty state.
     /// Dropping entries is always safe — the cache is a performance
     /// layer, never a source of truth.
     ///
@@ -248,7 +219,6 @@ impl AnswerCache {
         self.free.clear();
         self.head = NIL;
         self.tail = NIL;
-        self.stats.poison_resets += 1;
         self.mutating = false;
         true
     }
@@ -261,23 +231,6 @@ impl AnswerCache {
     #[doc(hidden)]
     pub fn chaos_begin_torn_mutation(&mut self) {
         self.mutating = true;
-    }
-
-    /// Records a verify-mode re-solve and whether it agreed.
-    pub fn note_verification(&mut self, agreed: bool) {
-        self.stats.verifications += 1;
-        if !agreed {
-            self.stats.verify_mismatches += 1;
-        }
-    }
-
-    /// Records a check-mode certificate validation on a hit.
-    pub fn note_certcheck(&mut self, valid: bool) {
-        if valid {
-            self.stats.checked_hits += 1;
-        } else {
-            self.stats.cert_invalid += 1;
-        }
     }
 
     fn unlink(&mut self, idx: usize) {
@@ -321,6 +274,13 @@ impl AnswerCache {
             self.tail = idx;
         }
     }
+
+    /// Points `key` at `slot` without touching the slot — the torn
+    /// mapping a panic mid-insert could leave behind.
+    #[cfg(test)]
+    pub(crate) fn tear_mapping(&mut self, key: QueryKey, slot: usize) {
+        self.map.insert(key, slot);
+    }
 }
 
 #[cfg(test)]
@@ -352,22 +312,21 @@ mod tests {
         }
     }
 
+    fn found(cache: &mut AnswerCache, n: usize) -> bool {
+        matches!(cache.lookup(&key(n)), Lookup::Found(_))
+    }
+
     #[test]
-    fn hit_miss_and_eviction_counters() {
+    fn lookups_and_inserts_report_finds_and_evictions() {
         let mut cache = AnswerCache::new(2);
-        assert!(cache.lookup(&key(0)).is_none());
-        cache.insert(key(0), entry());
-        cache.insert(key(1), entry());
-        assert!(cache.lookup(&key(0)).is_some());
-        cache.insert(key(2), entry()); // evicts key(1), the LRU
-        assert!(cache.lookup(&key(1)).is_none());
-        assert!(cache.lookup(&key(0)).is_some());
-        assert!(cache.lookup(&key(2)).is_some());
-        let stats = cache.stats();
-        assert_eq!(stats.hits, 3);
-        assert_eq!(stats.misses, 2);
-        assert_eq!(stats.evictions, 1);
-        assert_eq!(stats.insertions, 3);
+        assert!(matches!(cache.lookup(&key(0)), Lookup::Absent));
+        assert!(!cache.insert(key(0), entry()));
+        assert!(!cache.insert(key(1), entry()));
+        assert!(found(&mut cache, 0));
+        assert!(cache.insert(key(2), entry()), "evicts key(1), the LRU");
+        assert!(matches!(cache.lookup(&key(1)), Lookup::Absent));
+        assert!(found(&mut cache, 0));
+        assert!(found(&mut cache, 2));
         assert_eq!(cache.len(), 2);
     }
 
@@ -378,25 +337,24 @@ mod tests {
             cache.insert(key(i), entry());
         }
         // Touch 0 and 1; 2 becomes LRU.
-        assert!(cache.lookup(&key(0)).is_some());
-        assert!(cache.lookup(&key(1)).is_some());
+        assert!(found(&mut cache, 0));
+        assert!(found(&mut cache, 1));
         cache.insert(key(3), entry());
-        assert!(cache.lookup(&key(2)).is_none());
+        assert!(!found(&mut cache, 2));
         // Slot reuse: keep churning well past capacity.
         for i in 4..40 {
-            cache.insert(key(i), entry());
+            assert!(cache.insert(key(i), entry()), "a full cache evicts");
         }
         assert_eq!(cache.len(), 3);
-        assert!(cache.lookup(&key(39)).is_some());
+        assert!(found(&mut cache, 39));
     }
 
     #[test]
     fn zero_capacity_disables_storage() {
         let mut cache = AnswerCache::new(0);
-        cache.insert(key(0), entry());
-        assert!(cache.lookup(&key(0)).is_none());
+        assert!(!cache.insert(key(0), entry()));
+        assert!(matches!(cache.lookup(&key(0)), Lookup::Absent));
         assert_eq!(cache.len(), 0);
-        assert_eq!(cache.stats().misses, 1);
     }
 
     #[test]
@@ -405,41 +363,36 @@ mod tests {
         cache.insert(key(0), entry());
 
         // Consistent cache (no mutation in flight): recovery is a no-op.
-        cache.recover_after_poison();
+        assert!(!cache.recover_after_poison());
         assert_eq!(cache.len(), 1);
-        assert_eq!(cache.stats().poison_resets, 0);
 
         // Simulate a panic that unwound out of a mutating method.
         cache.mutating = true;
-        cache.recover_after_poison();
+        assert!(cache.recover_after_poison());
         assert_eq!(cache.len(), 0, "a torn cache is cleared");
-        assert_eq!(cache.stats().poison_resets, 1);
-        assert_eq!(cache.stats().insertions, 1, "counters survive the reset");
 
         // Idempotent: a second recovery on the now-sound cache does
         // nothing (the poisoned mutex makes this the common path).
-        cache.recover_after_poison();
-        assert_eq!(cache.stats().poison_resets, 1);
+        assert!(!cache.recover_after_poison());
 
         // And the cleared cache accepts fresh entries.
         cache.insert(key(1), entry());
-        assert!(cache.lookup(&key(1)).is_some());
+        assert!(found(&mut cache, 1));
     }
 
     #[test]
-    fn evict_invalid_removes_entry_and_counts() {
+    fn evict_invalid_removes_entry_and_reports_it() {
         let mut cache = AnswerCache::new(4);
         cache.insert(key(0), entry());
         cache.insert(key(1), entry());
         assert!(cache.evict_invalid(&key(0)));
         assert!(!cache.evict_invalid(&key(0)), "second eviction is a no-op");
         assert_eq!(cache.len(), 1);
-        assert_eq!(cache.stats().validation_evictions, 1);
-        assert!(cache.lookup(&key(0)).is_none());
-        assert!(cache.lookup(&key(1)).is_some());
+        assert!(!found(&mut cache, 0));
+        assert!(found(&mut cache, 1));
         // The freed slot is reusable.
         cache.insert(key(2), entry());
-        assert!(cache.lookup(&key(2)).is_some());
+        assert!(found(&mut cache, 2));
     }
 
     #[test]
@@ -449,25 +402,25 @@ mod tests {
         // Tear the map: point a key at a slot index that was never
         // allocated (as a panic mid-insert could).
         cache.map.insert(key(7), 999);
-        assert!(cache.lookup(&key(7)).is_none(), "torn entry is a miss");
-        assert_eq!(cache.stats().validation_evictions, 1);
+        assert!(matches!(cache.lookup(&key(7)), Lookup::Torn));
         assert!(!cache.map.contains_key(&key(7)), "torn mapping dropped");
+        assert!(matches!(cache.lookup(&key(7)), Lookup::Absent));
         // Tear differently: map key(8) at key(0)'s slot (key mismatch).
         let idx0 = *cache.map.get(&key(0)).unwrap();
         cache.map.insert(key(8), idx0);
-        assert!(cache.lookup(&key(8)).is_none());
-        assert_eq!(cache.stats().validation_evictions, 2);
+        assert!(matches!(cache.lookup(&key(8)), Lookup::Torn));
         // The legitimate entry is untouched throughout.
-        assert!(cache.lookup(&key(0)).is_some());
+        assert!(found(&mut cache, 0));
     }
 
     #[test]
     fn overwrite_keeps_single_entry() {
         let mut cache = AnswerCache::new(2);
         cache.insert(key(0), entry());
-        cache.insert(key(0), entry());
+        assert!(
+            !cache.insert(key(0), entry()),
+            "an overwrite evicts nothing"
+        );
         assert_eq!(cache.len(), 1);
-        assert_eq!(cache.stats().insertions, 2);
-        assert_eq!(cache.stats().evictions, 0);
     }
 }

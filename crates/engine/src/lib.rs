@@ -50,9 +50,10 @@ pub mod resilience;
 
 pub use batch::{
     build_context, evidence_kind, prepare_job, unknown_reason_wire, BatchEngine, BatchReport,
-    BatchStats, CacheOutcome, EngineConfig, Job, JobResult, PreparedJob, Verdict, VerifyMode,
+    BatchStats, CacheOutcome, CacheStats, EngineConfig, Job, JobResult, PreparedJob, Verdict,
+    VerifyMode,
 };
-pub use cache::{AnswerCache, CacheStats, CachedEntry};
+pub use cache::{AnswerCache, CachedEntry, Lookup};
 pub use canon::{canonicalize, snapshot_id, CanonicalQuery, ContextKey, QueryKey, Renaming};
 pub use certify::certify;
 pub use certwire::{certificate_from_json, certificate_to_json};

@@ -2,7 +2,7 @@
 //! realistic (repeated / near-duplicate) workloads, and deadline
 //! isolation for deliberately hard undecidable jobs.
 
-use pathcons_engine::{BatchEngine, EngineConfig, Job, Verdict};
+use pathcons_engine::{BatchEngine, CacheOutcome, EngineConfig, Job, Verdict};
 use std::collections::BTreeMap;
 
 /// A workload of `n` jobs cycling through a few query shapes, with
@@ -100,6 +100,23 @@ fn thousand_job_batch_exceeds_half_cache_hits() {
     // The workload has only 8 shapes; at most one miss per shape per
     // concurrent duplicate burst. Sanity-check the counters add up.
     assert_eq!(report.stats.hits + report.stats.misses, 1000);
+}
+
+#[test]
+fn a_zero_capacity_cache_stores_nothing_and_counts_every_miss() {
+    let engine = BatchEngine::new(EngineConfig {
+        cache_capacity: 0,
+        ..EngineConfig::default()
+    });
+    let report = engine.run_batch(workload(16));
+    assert!(report
+        .results
+        .iter()
+        .all(|r| r.cache == Some(CacheOutcome::Miss)));
+    assert_eq!((report.stats.hits, report.stats.misses), (0, 16));
+    let stats = engine.cache_stats();
+    assert_eq!((stats.hits, stats.misses, stats.evictions), (0, 16, 0));
+    assert_eq!(engine.cache_len(), 0);
 }
 
 #[test]

@@ -81,9 +81,21 @@ pub const SOLVE_MICROS_HELP: &str = "Solver latency per answered job in microsec
 pub const RESILIENCE_TOTAL: &str = "pathcons_resilience_total";
 /// Help for [`RESILIENCE_TOTAL`].
 pub const RESILIENCE_TOTAL_HELP: &str =
-    "Resilience events (respawn, retry, abandoned, shed, queued_expired, validation_evict, degraded_skip)";
+    "Resilience events (respawn, retry, abandoned, shed, queued_expired, validation_evict, degraded_skip, poison_reset)";
 
-/// Answer-cache resident entries (gauge, set at scrape time).
+/// Answer-cache entries displaced by capacity pressure (counter).
+pub const CACHE_EVICTIONS_TOTAL: &str = "pathcons_cache_evictions_total";
+/// Help for [`CACHE_EVICTIONS_TOTAL`].
+pub const CACHE_EVICTIONS_TOTAL_HELP: &str = "Answer-cache entries displaced by capacity pressure";
+
+/// Re-solves of cache hits in `--verify=resolve` mode, labelled
+/// `result=agree|mismatch` (counter).
+pub const CACHE_VERIFY_TOTAL: &str = "pathcons_cache_verify_total";
+/// Help for [`CACHE_VERIFY_TOTAL`].
+pub const CACHE_VERIFY_TOTAL_HELP: &str = "Re-solves of cache hits (--verify=resolve), by result";
+
+/// Answer-cache live entries (gauge, read under the cache lock at
+/// scrape time).
 pub const CACHE_ENTRIES: &str = "pathcons_cache_entries";
 /// Help for [`CACHE_ENTRIES`].
 pub const CACHE_ENTRIES_HELP: &str = "Answer-cache resident entries";

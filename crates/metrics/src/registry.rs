@@ -48,10 +48,11 @@ impl Counter {
         Counter::default()
     }
 
-    /// Adds `delta`.
+    /// Adds `delta`, returning the value before the add — the ordinal
+    /// of the event just counted.
     #[inline]
-    pub fn add(&self, delta: u64) {
-        self.0.fetch_add(delta, Ordering::Relaxed);
+    pub fn add(&self, delta: u64) -> u64 {
+        self.0.fetch_add(delta, Ordering::Relaxed)
     }
 
     /// The current value.
@@ -270,6 +271,20 @@ impl MetricsSnapshot {
         self.families.get(name)
     }
 
+    /// The value of the counter sample `family` + `labels`; 0 when the
+    /// sample was never registered (a lazily registered event that has
+    /// not happened yet).
+    pub fn counter(&self, family: &str, labels: &[(&str, &str)]) -> u64 {
+        match self
+            .families
+            .get(family)
+            .and_then(|f| f.samples.get(&labels_of(labels)))
+        {
+            Some(SampleValue::Counter(n)) => *n,
+            _ => 0,
+        }
+    }
+
     /// Renders Prometheus text exposition format (0.0.4). Deterministic:
     /// families and label sets are ordered, values are pure counts —
     /// two renders with no recording in between are byte-identical.
@@ -400,6 +415,18 @@ mod tests {
         assert!(text.contains("lat_micros_bucket{op=\"job\",le=\"+Inf\"} 1"));
         assert!(text.contains("lat_micros_sum{op=\"job\"} 5"));
         assert!(text.contains("lat_micros_count{op=\"job\"} 1"));
+    }
+
+    #[test]
+    fn snapshot_counter_reads_registered_and_missing_samples() {
+        let reg = MetricsRegistry::new();
+        let c = reg.counter("ev_total", "events", &[("event", "a"), ("z", "1")]);
+        assert_eq!(c.add(2), 0);
+        assert_eq!(c.add(1), 2);
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("ev_total", &[("z", "1"), ("event", "a")]), 3);
+        assert_eq!(snap.counter("ev_total", &[("event", "b")]), 0);
+        assert_eq!(snap.counter("absent_total", &[]), 0);
     }
 
     #[test]

@@ -33,9 +33,7 @@ pub mod store;
 
 pub use columnar::{ColumnarGraph, MAX_ISOLATED_NODES};
 pub use metrics::MetricsPlane;
-pub use serve::{
-    Client, Endpoint, ServeStats, ServeStatsSnapshot, Server, ServerHandle, MAX_LINE_BYTES,
-};
+pub use serve::{Client, Endpoint, Server, ServerHandle, MAX_LINE_BYTES};
 pub use snapshot::{
     ContextRecord, GraphColumns, SnapshotDoc, SnapshotError, FORMAT_VERSION, MAGIC,
 };

@@ -1,10 +1,11 @@
 //! The live metrics plane behind `pathcons serve`.
 //!
-//! A [`MetricsPlane`] joins the shared [`MetricsRegistry`] (where the
-//! engine and the serve loop record counters and latency histograms)
-//! with the scrape-time state nobody records incrementally — serve
-//! counters, answer-cache totals, per-context amortization gauges — and
-//! renders the merged view two ways:
+//! A [`MetricsPlane`] records the serve loop's counters and latency
+//! histograms into the engine's [`MetricsRegistry`] — the one store the
+//! engine's own counters live in — and joins it with the state that is
+//! read, not recorded: the inflight gauge, the answer cache's live
+//! length, and the per-context amortization state. It renders the
+//! merged view two ways:
 //!
 //! - [`MetricsPlane::json`]: the `{"op": "metrics"}` response, a
 //!   structured snapshot with quantile estimates for every histogram;
@@ -16,21 +17,36 @@
 //! time-dependent (uptime, timestamps) is included — so two scrapes of
 //! an idle server are byte-identical.
 
-use crate::serve::ServeStats;
 use crate::store::ConstraintStore;
-use pathcons_engine::{BatchEngine, Json};
+use pathcons_engine::{BatchEngine, CacheStats, Json};
 use pathcons_metrics::{
-    names, Histogram, MetricKind, MetricsRegistry, MetricsSnapshot, SampleValue, WindowedRate,
+    names, Counter, Histogram, MetricKind, MetricsRegistry, MetricsSnapshot, SampleValue,
+    WindowedRate,
 };
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// The serve-side metrics plane: the shared registry plus pre-resolved
-/// hot-path handles, and the exposition entry points.
+/// The serve-side metrics plane: the engine's registry plus
+/// pre-resolved hot-path handles, and the exposition entry points.
 pub struct MetricsPlane {
     registry: Arc<MetricsRegistry>,
     store: Arc<ConstraintStore>,
     engine: Arc<BatchEngine>,
-    stats: Arc<ServeStats>,
+    /// Connections accepted.
+    pub(crate) connections: Arc<Counter>,
+    /// Job lines answered (any verdict).
+    pub(crate) jobs: Arc<Counter>,
+    /// Malformed lines answered with error records.
+    pub(crate) malformed: Arc<Counter>,
+    /// Jobs shed by admission control.
+    pub(crate) shed: Arc<Counter>,
+    /// Control operations handled (ping/stats/check/shutdown/metrics).
+    pub(crate) ops: Arc<Counter>,
+    /// Jobs that crossed the slow-query threshold.
+    pub(crate) slow: Arc<Counter>,
+    /// Jobs currently being solved, across all connections — a level,
+    /// not a count, so it is read at scrape time rather than recorded.
+    pub(crate) inflight: AtomicU64,
     op_job: Arc<Histogram>,
     op_ping: Arc<Histogram>,
     op_stats: Arc<Histogram>,
@@ -40,16 +56,12 @@ pub struct MetricsPlane {
 }
 
 impl MetricsPlane {
-    /// A plane over the given registry. When the same registry is also
-    /// installed in the engine's [`pathcons_engine::EngineConfig`], the
-    /// exposition carries engine-side families (verdicts, cache
-    /// lookups, solve latency) alongside the serve-side ones.
-    pub fn new(
-        registry: Arc<MetricsRegistry>,
-        store: Arc<ConstraintStore>,
-        engine: Arc<BatchEngine>,
-        stats: Arc<ServeStats>,
-    ) -> MetricsPlane {
+    /// A plane over the engine's registry: the exposition carries the
+    /// engine-side families (verdicts, cache lookups, solve latency)
+    /// alongside the serve-side ones by construction.
+    pub fn new(store: Arc<ConstraintStore>, engine: Arc<BatchEngine>) -> MetricsPlane {
+        let registry = Arc::clone(engine.metrics());
+        let counter = |name: &str, help: &str| registry.counter(name, help, &[]);
         let op = |name: &str| {
             registry.histogram(
                 names::OP_LATENCY_MICROS,
@@ -58,6 +70,13 @@ impl MetricsPlane {
             )
         };
         MetricsPlane {
+            connections: counter(names::CONNECTIONS_TOTAL, names::CONNECTIONS_TOTAL_HELP),
+            jobs: counter(names::JOBS_TOTAL, names::JOBS_TOTAL_HELP),
+            malformed: counter(names::MALFORMED_TOTAL, names::MALFORMED_TOTAL_HELP),
+            shed: counter(names::SHED_TOTAL, names::SHED_TOTAL_HELP),
+            ops: counter(names::OPS_TOTAL, names::OPS_TOTAL_HELP),
+            slow: counter(names::SLOW_JOBS_TOTAL, names::SLOW_JOBS_TOTAL_HELP),
+            inflight: AtomicU64::new(0),
             op_job: op("job"),
             op_ping: op("ping"),
             op_stats: op("stats"),
@@ -67,14 +86,17 @@ impl MetricsPlane {
             registry,
             store,
             engine,
-            stats,
         }
     }
 
-    /// The underlying registry (shared with the engine when the serve
-    /// front-end was configured that way).
+    /// The underlying registry — the engine's own.
     pub fn registry(&self) -> &Arc<MetricsRegistry> {
         &self.registry
+    }
+
+    /// Jobs currently admitted and being solved.
+    pub fn inflight(&self) -> u64 {
+        self.inflight.load(Ordering::Relaxed)
     }
 
     /// Records one answered job: latency into the per-op histogram and
@@ -126,65 +148,22 @@ impl MetricsPlane {
     }
 
     /// A merged point-in-time snapshot: everything recorded into the
-    /// registry, plus the scrape-time families computed from the serve
-    /// counters, the answer cache, and the store's per-context state.
+    /// registry, plus the scrape-time families read from the inflight
+    /// gauge, the answer cache, and the store's per-context state.
     pub fn snapshot(&self) -> MetricsSnapshot {
         use MetricKind::{Counter, Gauge};
         let mut snap = self.registry.snapshot();
-        let serve = self.stats.snapshot();
         let c = SampleValue::Counter;
         let g = SampleValue::Gauge;
-        snap.set(
-            names::JOBS_TOTAL,
-            Counter,
-            names::JOBS_TOTAL_HELP,
-            vec![],
-            c(serve.jobs),
-        );
-        snap.set(
-            names::CONNECTIONS_TOTAL,
-            Counter,
-            names::CONNECTIONS_TOTAL_HELP,
-            vec![],
-            c(serve.connections),
-        );
-        snap.set(
-            names::MALFORMED_TOTAL,
-            Counter,
-            names::MALFORMED_TOTAL_HELP,
-            vec![],
-            c(serve.malformed),
-        );
-        snap.set(
-            names::SHED_TOTAL,
-            Counter,
-            names::SHED_TOTAL_HELP,
-            vec![],
-            c(serve.shed),
-        );
-        snap.set(
-            names::OPS_TOTAL,
-            Counter,
-            names::OPS_TOTAL_HELP,
-            vec![],
-            c(serve.ops),
-        );
-        snap.set(
-            names::SLOW_JOBS_TOTAL,
-            Counter,
-            names::SLOW_JOBS_TOTAL_HELP,
-            vec![],
-            c(serve.slow),
-        );
         snap.set(
             names::INFLIGHT,
             Gauge,
             names::INFLIGHT_HELP,
             vec![],
-            g(serve.inflight as f64),
+            g(self.inflight() as f64),
         );
 
-        let cache = self.engine.cache_stats();
+        let cache = CacheStats::from_snapshot(&snap);
         let lookups = cache.hits + cache.misses;
         let hit_ratio = if lookups == 0 {
             0.0
@@ -203,7 +182,7 @@ impl MetricsPlane {
             Gauge,
             names::CACHE_ENTRIES_HELP,
             vec![],
-            g(cache.insertions.saturating_sub(cache.evictions) as f64),
+            g(self.engine.cache_len() as f64),
         );
         snap.set(
             names::DEGRADED,

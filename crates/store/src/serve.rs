@@ -24,7 +24,8 @@
 //! The serve loop is also the observability plane's front door: every
 //! job gets a correlation id (the caller's `request_id`, or an assigned
 //! `r-<connection>-<line>`) echoed in its result record; per-op latency
-//! lands in the shared [`MetricsPlane`]; `{"op": "metrics"}` returns a
+//! and every serve counter land in the engine's registry through the
+//! [`MetricsPlane`]; `{"op": "metrics"}` returns a
 //! structured snapshot; an optional `--metrics-addr` HTTP listener
 //! serves the same snapshot as Prometheus text; and jobs slower than a
 //! configured threshold are written to a JSONL slow-query log keyed by
@@ -32,8 +33,10 @@
 
 use crate::metrics::MetricsPlane;
 use crate::store::ConstraintStore;
-use pathcons_engine::{canonicalize, snapshot_id, BatchEngine, Job, JobResult, Json, Verdict};
-use pathcons_metrics::MetricsRegistry;
+use pathcons_engine::{
+    canonicalize, snapshot_id, BatchEngine, CacheStats, Job, JobResult, Json, Verdict,
+};
+use pathcons_metrics::names;
 use pathcons_telemetry::schema;
 use std::fmt;
 use std::io::{self, Read as _, Write as _};
@@ -88,62 +91,6 @@ impl fmt::Display for Endpoint {
             Endpoint::Tcp(addr) => write!(f, "tcp:{addr}"),
         }
     }
-}
-
-/// Monotonic counters a running server exposes via `{"op": "stats"}`.
-#[derive(Debug, Default)]
-pub struct ServeStats {
-    /// Connections accepted.
-    pub connections: AtomicU64,
-    /// Job lines answered (any verdict).
-    pub jobs: AtomicU64,
-    /// Malformed lines answered with error records.
-    pub malformed: AtomicU64,
-    /// Jobs shed by admission control.
-    pub shed: AtomicU64,
-    /// Control operations handled (ping/stats/check/shutdown/metrics).
-    pub ops: AtomicU64,
-    /// Jobs currently being solved, across all connections.
-    pub inflight: AtomicU64,
-    /// Jobs that crossed the slow-query threshold.
-    pub slow: AtomicU64,
-}
-
-impl ServeStats {
-    /// One coherent point-in-time copy of every counter — the single
-    /// shape behind the `stats` op, the metrics plane, and the tests
-    /// (each counter is loaded relaxed; the copy is exact once
-    /// recording quiesces).
-    pub fn snapshot(&self) -> ServeStatsSnapshot {
-        ServeStatsSnapshot {
-            connections: self.connections.load(Ordering::Relaxed),
-            jobs: self.jobs.load(Ordering::Relaxed),
-            malformed: self.malformed.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
-            ops: self.ops.load(Ordering::Relaxed),
-            inflight: self.inflight.load(Ordering::Relaxed),
-            slow: self.slow.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// A plain-value copy of [`ServeStats`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ServeStatsSnapshot {
-    /// Connections accepted.
-    pub connections: u64,
-    /// Job lines answered (any verdict).
-    pub jobs: u64,
-    /// Malformed lines answered with error records.
-    pub malformed: u64,
-    /// Jobs shed by admission control.
-    pub shed: u64,
-    /// Control operations handled.
-    pub ops: u64,
-    /// Jobs currently admitted and being solved.
-    pub inflight: u64,
-    /// Jobs that crossed the slow-query threshold.
-    pub slow: u64,
 }
 
 /// RAII admission token: increments the inflight gauge on admission and
@@ -236,7 +183,6 @@ pub struct Server {
     endpoint: Endpoint,
     store: Arc<ConstraintStore>,
     engine: Arc<BatchEngine>,
-    stats: Arc<ServeStats>,
     stop: Arc<AtomicBool>,
     /// Applied to jobs that do not carry their own `deadline_ms`.
     default_deadline_ms: Option<u64>,
@@ -301,22 +247,14 @@ impl Server {
             Listener::Unix(l) => l.set_nonblocking(true)?,
             Listener::Tcp(l) => l.set_nonblocking(true)?,
         }
-        let stats = Arc::new(ServeStats::default());
         // Every server has a metrics plane (the `metrics` op always
-        // answers); sharing the registry with the engine so engine-side
-        // families appear too is the CLI's job via `with_metrics`.
-        let metrics = Arc::new(MetricsPlane::new(
-            Arc::new(MetricsRegistry::new()),
-            store.clone(),
-            engine.clone(),
-            stats.clone(),
-        ));
+        // answers), recording into the engine's own registry.
+        let metrics = Arc::new(MetricsPlane::new(store.clone(), engine.clone()));
         Ok(Server {
             listener,
             endpoint,
             store,
             engine,
-            stats,
             stop: Arc::new(AtomicBool::new(false)),
             default_deadline_ms,
             started: Instant::now(),
@@ -325,21 +263,6 @@ impl Server {
             http: Mutex::new(None),
             metrics_addr: None,
         })
-    }
-
-    /// Replaces the server's private metrics registry with a shared one
-    /// — typically the registry also installed in the engine's
-    /// [`pathcons_engine::EngineConfig`], so the exposition carries
-    /// engine-side families (verdicts, cache lookups, solve latency)
-    /// alongside the serve-side counters.
-    pub fn with_metrics(mut self, registry: Arc<MetricsRegistry>) -> Server {
-        self.metrics = Arc::new(MetricsPlane::new(
-            registry,
-            self.store.clone(),
-            self.engine.clone(),
-            self.stats.clone(),
-        ));
-        self
     }
 
     /// Enables the slow-query log: jobs slower than `threshold_ms`
@@ -379,7 +302,8 @@ impl Server {
         self.metrics_addr.as_deref()
     }
 
-    /// The server's metrics plane.
+    /// The server's metrics plane; its registry holds every serve and
+    /// engine counter.
     pub fn metrics_plane(&self) -> Arc<MetricsPlane> {
         self.metrics.clone()
     }
@@ -395,11 +319,6 @@ impl Server {
     /// finish after their current line.
     pub fn stop_flag(&self) -> Arc<AtomicBool> {
         self.stop.clone()
-    }
-
-    /// The server's counters.
-    pub fn stats(&self) -> Arc<ServeStats> {
-        self.stats.clone()
     }
 
     /// Accept loop: runs until the stop flag is set (by
@@ -423,11 +342,10 @@ impl Server {
             };
             match accepted {
                 Ok(stream) => {
-                    let conn_id = self.stats.connections.fetch_add(1, Ordering::Relaxed);
+                    let conn_id = self.metrics.connections.add(1);
                     let worker = ConnectionWorker {
                         store: self.store.clone(),
                         engine: self.engine.clone(),
-                        stats: self.stats.clone(),
                         stop: self.stop.clone(),
                         default_deadline_ms: self.default_deadline_ms,
                         started: self.started,
@@ -456,14 +374,12 @@ impl Server {
     pub fn spawn(self) -> ServerHandle {
         let endpoint = self.endpoint.clone();
         let stop = self.stop_flag();
-        let stats = self.stats();
         let metrics = self.metrics.clone();
         let metrics_addr = self.metrics_addr.clone();
         let join = std::thread::spawn(move || self.run());
         ServerHandle {
             endpoint,
             stop,
-            stats,
             metrics,
             metrics_addr,
             join,
@@ -475,7 +391,6 @@ impl Server {
 pub struct ServerHandle {
     endpoint: Endpoint,
     stop: Arc<AtomicBool>,
-    stats: Arc<ServeStats>,
     metrics: Arc<MetricsPlane>,
     metrics_addr: Option<String>,
     join: std::thread::JoinHandle<io::Result<()>>,
@@ -487,12 +402,8 @@ impl ServerHandle {
         &self.endpoint
     }
 
-    /// The server's counters.
-    pub fn stats(&self) -> &ServeStats {
-        &self.stats
-    }
-
-    /// The server's metrics plane.
+    /// The server's metrics plane; its registry holds every serve and
+    /// engine counter.
     pub fn metrics_plane(&self) -> &Arc<MetricsPlane> {
         &self.metrics
     }
@@ -517,7 +428,6 @@ impl ServerHandle {
 struct ConnectionWorker {
     store: Arc<ConstraintStore>,
     engine: Arc<BatchEngine>,
-    stats: Arc<ServeStats>,
     stop: Arc<AtomicBool>,
     default_deadline_ms: Option<u64>,
     started: Instant,
@@ -590,7 +500,7 @@ impl ConnectionWorker {
             }
             if pending.len() > MAX_LINE_BYTES {
                 lineno += 1;
-                self.stats.malformed.fetch_add(1, Ordering::Relaxed);
+                self.metrics.malformed.add(1);
                 let mut payload = error_record(
                     lineno,
                     &format!("request line exceeds {MAX_LINE_BYTES} bytes"),
@@ -618,7 +528,7 @@ impl ConnectionWorker {
         // line parsed exactly as `pathcons batch` parses it.
         if let Ok(value) = Json::parse(line) {
             if let Some(op) = value.get("op").and_then(Json::as_str) {
-                self.stats.ops.fetch_add(1, Ordering::Relaxed);
+                self.metrics.ops.add(1);
                 let start = Instant::now();
                 let response = self.handle_op(lineno, op, &value);
                 self.metrics
@@ -629,7 +539,7 @@ impl ConnectionWorker {
         match Job::from_json_line(line) {
             Ok(job) => Some(self.handle_job(lineno, job)),
             Err(e) => {
-                self.stats.malformed.fetch_add(1, Ordering::Relaxed);
+                self.metrics.malformed.add(1);
                 Some(
                     error_record(lineno, &format!("malformed request: {e}"))
                         .to_json()
@@ -647,8 +557,12 @@ impl ConnectionWorker {
                 ("snapshot", Json::Str(self.store.content_id_hex())),
             ]),
             "stats" => {
-                let cache = self.engine.cache_stats();
-                let serve = self.stats.snapshot();
+                // One registry snapshot answers every counter below, so
+                // the reply agrees with a `metrics` op or scrape taken
+                // at the same moment.
+                let snap = self.metrics.registry().snapshot();
+                let count = |family| snap.counter(family, &[]);
+                let cache = CacheStats::from_snapshot(&snap);
                 // Per-context amortization counters: how many jobs each
                 // resident context answered, its revision, and what its
                 // shared state has saved so far (chase-prefix resumes,
@@ -683,12 +597,15 @@ impl ConnectionWorker {
                         "uptime_ms",
                         Json::Num(self.started.elapsed().as_millis() as f64),
                     ),
-                    ("connections", Json::Num(serve.connections as f64)),
-                    ("jobs", Json::Num(serve.jobs as f64)),
-                    ("malformed", Json::Num(serve.malformed as f64)),
-                    ("shed", Json::Num(serve.shed as f64)),
-                    ("inflight", Json::Num(serve.inflight as f64)),
-                    ("slow", Json::Num(serve.slow as f64)),
+                    (
+                        "connections",
+                        Json::Num(count(names::CONNECTIONS_TOTAL) as f64),
+                    ),
+                    ("jobs", Json::Num(count(names::JOBS_TOTAL) as f64)),
+                    ("malformed", Json::Num(count(names::MALFORMED_TOTAL) as f64)),
+                    ("shed", Json::Num(count(names::SHED_TOTAL) as f64)),
+                    ("inflight", Json::Num(self.metrics.inflight() as f64)),
+                    ("slow", Json::Num(count(names::SLOW_JOBS_TOTAL) as f64)),
                     ("cache_hits", Json::Num(cache.hits as f64)),
                     ("cache_misses", Json::Num(cache.misses as f64)),
                     ("degraded", Json::Bool(self.engine.is_degraded())),
@@ -778,10 +695,10 @@ impl ConnectionWorker {
         // RAII guard restores the gauge on every exit — shed, error,
         // solved, or a panic unwinding through the solver.
         let depth = self.engine.config().shed.max_queue_depth;
-        let (inflight, _guard) = InflightGuard::admit(&self.stats.inflight);
+        let (inflight, _guard) = InflightGuard::admit(&self.metrics.inflight);
         let mut queue_micros = 0u64;
         let mut result = if depth > 0 && inflight as usize >= depth {
-            self.stats.shed.fetch_add(1, Ordering::Relaxed);
+            self.metrics.shed.add(1);
             self.metrics
                 .count_wire_verdict("unknown", Some("overloaded"));
             overloaded_record(job.id.clone())
@@ -802,7 +719,7 @@ impl ConnectionWorker {
                             .solve_prepared(job.id.clone(), &prepared, deadline_at, start);
                     if let Some(slow) = &self.slow {
                         if result.micros >= slow.threshold_ms.saturating_mul(1000) {
-                            self.stats.slow.fetch_add(1, Ordering::Relaxed);
+                            self.metrics.slow.add(1);
                             // The canonical cache-key hash is computed
                             // only here, on the already-slow path — it
                             // names the query family (alpha-renaming
@@ -850,7 +767,7 @@ impl ConnectionWorker {
         };
         result.request_id = Some(request_id.clone());
         self.metrics.record_job(start.elapsed().as_micros() as u64);
-        self.stats.jobs.fetch_add(1, Ordering::Relaxed);
+        self.metrics.jobs.add(1);
         // The per-job telemetry event: when the engine runs traced
         // (`serve --trace`), the correlation id lands in the trace so a
         // slow-log record can be joined against its spans.

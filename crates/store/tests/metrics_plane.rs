@@ -1,11 +1,15 @@
 //! The serve metrics plane end to end: the `{"op": "metrics"}` snapshot
 //! and the Prometheus HTTP scrape agree with the traffic actually sent,
 //! idle scrapes are byte-identical, the inflight gauge survives a
-//! shed-and-malformed hammer, and a slow-query record's request id joins
-//! the wire result and the telemetry trace.
+//! shed-and-malformed hammer, a slow-query record's request id joins
+//! the wire result and the telemetry trace, and every cache count —
+//! the `stats` op, the registry, the job results — comes from one
+//! source, including lookups whose entry was rejected.
 
-use pathcons_engine::{BatchEngine, EngineConfig, Json, ShedPolicy};
-use pathcons_metrics::{names, MetricsRegistry};
+use pathcons_engine::{
+    BatchEngine, EngineConfig, FaultKind, FaultPlan, Job, Json, ShedPolicy, VerifyMode,
+};
+use pathcons_metrics::names;
 use pathcons_store::{Client, ConstraintStore, Endpoint, Server, ServerHandle};
 use pathcons_telemetry::{schema, InMemoryRecorder, Telemetry};
 use std::io::{Read, Write};
@@ -26,23 +30,26 @@ fn temp_file(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("pcm-{}-{tag}-{seq}.jsonl", std::process::id()))
 }
 
-/// A server whose engine shares its metrics registry, the way the CLI
-/// wires `pathcons serve`: one registry, both sides.
-fn shared_server(tag: &str, mut config: EngineConfig) -> (ServerHandle, Arc<MetricsRegistry>) {
-    let registry = Arc::new(MetricsRegistry::new());
-    config.metrics = Some(registry.clone());
+/// A server with the Prometheus listener bound, the way the CLI wires
+/// `pathcons serve --metrics-addr`; engine and serve loop record into
+/// the engine's one registry.
+fn metered_server(tag: &str, engine: Arc<BatchEngine>) -> ServerHandle {
     let store = ConstraintStore::from_jsonl("").expect("empty store");
-    let server = Server::bind(
+    Server::bind(
         &Endpoint::Unix(socket_path(tag)),
         Arc::new(store),
-        Arc::new(BatchEngine::new(config)),
+        engine,
         None,
     )
     .expect("bind unix socket")
-    .with_metrics(registry.clone())
     .with_metrics_addr("127.0.0.1:0")
-    .expect("bind metrics listener");
-    (server.spawn(), registry)
+    .expect("bind metrics listener")
+    .spawn()
+}
+
+/// One control-op round trip, parsed.
+fn op(client: &mut Client, line: &str) -> Json {
+    Json::parse(&client.round_trip(line).expect("op answered")).expect("op response parses")
 }
 
 /// One `GET` against the exposition listener; returns (status line, body).
@@ -76,7 +83,8 @@ fn family_value(metrics: &Json, family: &str) -> Option<f64> {
 
 #[test]
 fn metrics_op_and_scrape_agree_with_traffic() {
-    let (handle, _registry) = shared_server("agree", EngineConfig::default());
+    let engine = Arc::new(BatchEngine::new(EngineConfig::default()));
+    let handle = metered_server("agree", engine);
     let mut client = Client::connect(handle.endpoint()).expect("connect");
 
     const JOBS: usize = 17;
@@ -87,7 +95,7 @@ fn metrics_op_and_scrape_agree_with_traffic() {
     }
 
     // The structured snapshot: jobs counted exactly, engine-side
-    // families present because the registry is shared.
+    // families present because the registry is the engine's own.
     let metrics = Json::parse(
         &client
             .round_trip(r#"{"op": "metrics"}"#)
@@ -100,7 +108,7 @@ fn metrics_op_and_scrape_agree_with_traffic() {
     let verdicts = metrics
         .get("families")
         .and_then(|f| f.get(names::VERDICTS_TOTAL))
-        .expect("engine verdict family present in the shared registry");
+        .expect("engine verdict family present in the registry");
     assert!(verdicts.get("samples").is_some());
 
     // The Prometheus scrape: valid exposition carrying the same count.
@@ -141,7 +149,8 @@ fn metrics_op_and_scrape_agree_with_traffic() {
 
 #[test]
 fn idle_scrapes_are_byte_identical() {
-    let (handle, _registry) = shared_server("stable", EngineConfig::default());
+    let engine = Arc::new(BatchEngine::new(EngineConfig::default()));
+    let handle = metered_server("stable", engine);
     let mut client = Client::connect(handle.endpoint()).expect("connect");
 
     // Real traffic first, so the stability claim covers populated
@@ -172,7 +181,7 @@ fn inflight_returns_to_zero_under_shed_and_malformed_hammer() {
         shed: ShedPolicy::queue_depth(1),
         ..EngineConfig::default()
     };
-    let (handle, _registry) = shared_server("hammer", config);
+    let handle = metered_server("hammer", Arc::new(BatchEngine::new(config)));
 
     const CLIENTS: usize = 16;
     const ROUNDS: usize = 24;
@@ -196,32 +205,25 @@ fn inflight_returns_to_zero_under_shed_and_malformed_hammer() {
         worker.join().expect("client thread");
     }
 
-    let stats = handle.stats();
     assert_eq!(
-        stats.inflight.load(Ordering::Relaxed),
+        handle.metrics_plane().inflight(),
         0,
         "every admit must be balanced by a guard drop"
     );
-    let snap = stats.snapshot();
-    assert_eq!(snap.inflight, 0);
-    assert_eq!(snap.malformed, (CLIENTS * ROUNDS / 3) as u64);
+    let mut client = Client::connect(handle.endpoint()).expect("connect");
+    let stats = op(&mut client, r#"{"op": "stats"}"#);
+    let field = |key: &str| stats.get(key).and_then(Json::as_u64).expect("stats field");
+    assert_eq!(field("inflight"), 0);
+    assert_eq!(field("malformed"), (CLIENTS * ROUNDS / 3) as u64);
     // Jobs = answered job lines (solved, errored, or shed) — malformed
     // protocol lines never reach admission.
-    assert_eq!(snap.jobs, (CLIENTS * ROUNDS * 2 / 3) as u64);
+    let jobs = field("jobs");
+    assert_eq!(jobs, (CLIENTS * ROUNDS * 2 / 3) as u64);
 
-    // The scrape agrees with the raw counters.
-    let mut client = Client::connect(handle.endpoint()).expect("connect");
-    let metrics = Json::parse(
-        &client
-            .round_trip(r#"{"op": "metrics"}"#)
-            .expect("metrics op"),
-    )
-    .expect("metrics parses");
+    // The scrape agrees with the stats op.
+    let metrics = op(&mut client, r#"{"op": "metrics"}"#);
     assert_eq!(family_value(&metrics, names::INFLIGHT), Some(0.0));
-    assert_eq!(
-        family_value(&metrics, names::JOBS_TOTAL),
-        Some(snap.jobs as f64)
-    );
+    assert_eq!(family_value(&metrics, names::JOBS_TOTAL), Some(jobs as f64));
     handle.stop().expect("server stops");
 }
 
@@ -231,8 +233,6 @@ fn slow_log_request_id_joins_result_and_trace() {
     let recorder = Arc::new(InMemoryRecorder::new());
     let mut config = EngineConfig::default();
     config.budget.telemetry = Telemetry::new(recorder.clone());
-    let registry = Arc::new(MetricsRegistry::new());
-    config.metrics = Some(registry.clone());
     let slow_path = temp_file("slowlog");
     let store = ConstraintStore::from_jsonl("").expect("empty store");
     let handle = Server::bind(
@@ -242,7 +242,6 @@ fn slow_log_request_id_joins_result_and_trace() {
         None,
     )
     .expect("bind unix socket")
-    .with_metrics(registry)
     .with_slow_log(0, slow_path.to_str())
     .expect("open slow log")
     .spawn();
@@ -308,4 +307,160 @@ fn slow_log_request_id_joins_result_and_trace() {
     assert_eq!(traced, vec!["req-42", assigned.as_str()]);
 
     let _ = std::fs::remove_file(&slow_path);
+}
+
+/// A word-implication job line whose canonical key is shared by every
+/// alphabet: `n` picks one of four theories, `alpha` renames it.
+fn word_job(id: &str, n: usize, alpha: usize) -> Job {
+    let [a, b, c] = [["a", "b", "c"], ["x", "y", "z"], ["p", "q", "r"]][alpha % 3];
+    let (sigma, phi) = match n % 4 {
+        0 => (
+            vec![format!("{a} -> {b}"), format!("{b} -> {c}")],
+            format!("{a} -> {c}"),
+        ),
+        1 => (vec![format!("{a} -> {b}")], format!("{b} -> {a}")),
+        2 => (vec![format!("{a} -> {a}.{b}")], format!("{a}.{b} -> {a}")),
+        _ => (vec![format!("{a}: {b} -> {c}")], format!("{a}: {b} -> {c}")),
+    };
+    Job {
+        id: id.to_owned(),
+        context: String::new(),
+        sigma,
+        phi,
+        deadline_ms: None,
+        request_id: None,
+    }
+}
+
+/// Sends each job over the socket; returns the result lines.
+fn serve_jobs(client: &mut Client, jobs: &[Job]) -> Vec<String> {
+    jobs.iter()
+        .map(|job| {
+            client
+                .round_trip(&job.to_json().to_string())
+                .expect("job answered")
+        })
+        .collect()
+}
+
+/// The value of the `labels`-labelled sample of a `metrics` op family.
+fn labelled_value(metrics: &Json, family: &str, label: (&str, &str)) -> f64 {
+    let samples = metrics
+        .get("families")
+        .and_then(|f| f.get(family))
+        .and_then(|f| f.get("samples"))
+        .and_then(Json::as_array)
+        .unwrap_or_default();
+    samples
+        .iter()
+        .find(|s| {
+            s.get("labels")
+                .and_then(|l| l.get(label.0))
+                .and_then(Json::as_str)
+                == Some(label.1)
+        })
+        .and_then(|s| s.get("value"))
+        .and_then(Json::as_f64)
+        .unwrap_or(0.0)
+}
+
+#[test]
+fn stats_op_registry_and_results_count_hits_and_misses_alike() {
+    // Every batch job is followed by a torn write of its own cache
+    // slot, and check mode validates every certified hit.
+    let engine = Arc::new(BatchEngine::new(EngineConfig {
+        threads: 2,
+        verify: VerifyMode::Check,
+        chaos: Some(
+            FaultPlan::from_seed(42)
+                .with_rate(256)
+                .with_kind(FaultKind::TornCacheWrite),
+        ),
+        ..EngineConfig::default()
+    }));
+    let handle = metered_server("onesource", Arc::clone(&engine));
+    let mut client = Client::connect(handle.endpoint()).expect("connect");
+
+    let jobs: Vec<Job> = (0..24)
+        .map(|i| word_job(&format!("j{i}"), i, i / 4))
+        .collect();
+    let mut results: Vec<String> = engine
+        .run_batch(jobs.clone())
+        .results
+        .iter()
+        .map(|r| r.to_json().to_string())
+        .collect();
+    // Served, every key's last write is torn: each lookup is rejected by
+    // the hit-validator. Served again, the fresh entries hit.
+    results.extend(serve_jobs(&mut client, &jobs[..4]));
+    results.extend(serve_jobs(&mut client, &jobs[..4]));
+
+    let stats = op(&mut client, r#"{"op": "stats"}"#);
+    let metrics = op(&mut client, r#"{"op": "metrics"}"#);
+    let event = |family, label| labelled_value(&metrics, family, label) as u64;
+    assert!(event(names::RESILIENCE_TOTAL, ("event", "validation_evict")) >= 4);
+    assert!(event(names::CERTCHECK_TOTAL, ("result", "valid")) > 0);
+    for (outcome, stats_field) in [("hit", "cache_hits"), ("miss", "cache_misses")] {
+        let in_results = results
+            .iter()
+            .filter(|line| line.contains(&format!("\"cache\":\"{outcome}\"")))
+            .count() as u64;
+        let in_stats = stats
+            .get(stats_field)
+            .and_then(Json::as_u64)
+            .expect("stats op counts the outcome");
+        let in_registry = event(names::CACHE_LOOKUPS_TOTAL, ("outcome", outcome));
+        assert!(in_results > 0, "the traffic produced {outcome}s");
+        assert_eq!(
+            (in_stats, in_registry),
+            (in_results, in_results),
+            "{outcome}s: stats op, registry and job results disagree"
+        );
+    }
+    handle.stop().expect("server stops");
+}
+
+#[test]
+fn cache_entries_gauge_is_the_live_length() {
+    // Chaos fires only on the batch path: each batch job overwrites its
+    // own live cache slot with a torn entry.
+    let engine = Arc::new(BatchEngine::new(EngineConfig {
+        chaos: Some(
+            FaultPlan::from_seed(7)
+                .with_rate(256)
+                .with_kind(FaultKind::TornCacheWrite),
+        ),
+        ..EngineConfig::default()
+    }));
+    let handle = metered_server("entries", Arc::clone(&engine));
+    let mut client = Client::connect(handle.endpoint()).expect("connect");
+    let entries = |client: &mut Client| {
+        let metrics = op(client, r#"{"op": "metrics"}"#);
+        family_value(&metrics, names::CACHE_ENTRIES).expect("entries gauge") as usize
+    };
+    let jobs: Vec<Job> = (0..3).map(|i| word_job(&format!("e{i}"), i, 0)).collect();
+
+    serve_jobs(&mut client, &jobs);
+    assert_eq!(engine.cache_len(), 3);
+    assert_eq!(entries(&mut client), engine.cache_len());
+
+    // A duplicate insert: the torn write overwrites a live key.
+    engine.run_batch(vec![jobs[0].clone()]);
+    assert_eq!(entries(&mut client), engine.cache_len());
+
+    // A validation eviction: the served lookup rejects the torn entry,
+    // evicts it, and re-solves into the same slot.
+    serve_jobs(&mut client, &jobs[..1]);
+    let metrics = op(&mut client, r#"{"op": "metrics"}"#);
+    assert_eq!(
+        labelled_value(
+            &metrics,
+            names::RESILIENCE_TOTAL,
+            ("event", "validation_evict")
+        ),
+        1.0
+    );
+    assert_eq!(entries(&mut client), engine.cache_len());
+    assert_eq!(engine.cache_len(), 3);
+    handle.stop().expect("server stops");
 }

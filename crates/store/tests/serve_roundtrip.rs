@@ -4,7 +4,8 @@
 //! connection, and the control ops answer.
 
 use pathcons_engine::{BatchEngine, EngineConfig, Job, Json};
-use pathcons_store::{Client, ConstraintStore, Endpoint, Server};
+use pathcons_metrics::names;
+use pathcons_store::{Client, ConstraintStore, Endpoint, Server, ServerHandle};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -35,11 +36,16 @@ fn verdict_key(line: &str) -> (String, String, String) {
     (field("id"), field("verdict"), field("unknown_kind"))
 }
 
-fn spawn_server(
-    tag: &str,
-    store: ConstraintStore,
-    engine: BatchEngine,
-) -> pathcons_store::ServerHandle {
+/// A serve counter, read from the engine's registry.
+fn serve_count(handle: &ServerHandle, family: &str) -> u64 {
+    handle
+        .metrics_plane()
+        .registry()
+        .snapshot()
+        .counter(family, &[])
+}
+
+fn spawn_server(tag: &str, store: ConstraintStore, engine: BatchEngine) -> ServerHandle {
     let endpoint = Endpoint::Unix(socket_path(tag));
     Server::bind(&endpoint, Arc::new(store), Arc::new(engine), None)
         .expect("bind unix socket")
@@ -109,9 +115,11 @@ fn concurrent_clients_match_batch_verdicts() {
     }
     assert_eq!(answered, CLIENTS * reference.len());
 
-    let stats = handle.stats();
-    assert_eq!(stats.jobs.load(Ordering::Relaxed), answered as u64);
-    assert_eq!(stats.connections.load(Ordering::Relaxed), CLIENTS as u64);
+    assert_eq!(serve_count(&handle, names::JOBS_TOTAL), answered as u64);
+    assert_eq!(
+        serve_count(&handle, names::CONNECTIONS_TOTAL),
+        CLIENTS as u64
+    );
     handle.stop().expect("server stops");
 }
 
@@ -151,7 +159,7 @@ fn malformed_lines_get_error_records_and_the_connection_survives() {
     let (id, verdict, _) = verdict_key(&r5);
     assert_eq!((id.as_str(), verdict.as_str()), ("bad", "error"));
 
-    assert_eq!(handle.stats().malformed.load(Ordering::Relaxed), 2);
+    assert_eq!(serve_count(&handle, names::MALFORMED_TOTAL), 2);
     handle.stop().expect("server stops");
 }
 
@@ -179,7 +187,7 @@ fn oversized_lines_get_an_error_record_and_the_connection_survives() {
     let (id, verdict, _) = verdict_key(&r2);
     assert_eq!((id.as_str(), verdict.as_str()), ("after", "implied"));
 
-    assert_eq!(handle.stats().malformed.load(Ordering::Relaxed), 1);
+    assert_eq!(serve_count(&handle, names::MALFORMED_TOTAL), 1);
     handle.stop().expect("server stops");
 }
 
