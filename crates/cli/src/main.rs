@@ -712,7 +712,7 @@ fn bundle_model(bundle: &SchemaContext) -> Model {
 
 fn describe_evidence(evidence: &Evidence) -> String {
     match evidence {
-        Evidence::WordDerivation => "PTIME word-constraint procedure (β ∈ post*(α))".to_owned(),
+        Evidence::WordDerivation(_) => "PTIME word-constraint procedure (β ∈ post*(α))".to_owned(),
         Evidence::LocalExtentReduction(inner) => format!(
             "Theorem 5.1 reduction to word constraints; inner: {}",
             describe_evidence(inner)

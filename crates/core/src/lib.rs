@@ -62,5 +62,5 @@ pub use word::{word_implication_naive, NotAWordConstraint, WordEngine};
 mod word_evidence;
 pub use word_evidence::{
     canonical_countermodel, derivation_guided, derivation_guided_visits, Derivation,
-    DerivationStep, RuleIndex,
+    DerivationStep, RuleIndex, WORD_DERIVATION_FUEL,
 };

@@ -114,8 +114,10 @@ pub fn local_extent_implies(
         .implies(&word_phi)
         .expect("stripped query is a word constraint")
     {
+        // No derivation is extracted for the stripped instance: the
+        // reduction's evidence has no certificate form.
         Outcome::Implied(Evidence::LocalExtentReduction(Box::new(
-            Evidence::WordDerivation,
+            Evidence::WordDerivation(None),
         )))
     } else {
         // The decision rests on the complete Theorem 5.1 procedure; a

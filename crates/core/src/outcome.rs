@@ -7,6 +7,7 @@
 //! for `Implied`, a concrete countermodel for `NotImplied`.
 
 use crate::ir::Proof;
+use crate::word_evidence::Derivation;
 use pathcons_graph::Graph;
 use pathcons_telemetry::Telemetry;
 use pathcons_types::TypeNodeId;
@@ -234,11 +235,19 @@ pub enum RefutationBasis {
 }
 
 /// Why an `Implied` answer holds.
+///
+/// Payloads (derivations, chase traces, proofs) live in the solving
+/// job's space — its Σ indices, its labels — even when a cache serves
+/// the answer to an alpha-variant. Only certification reads them, when
+/// the solving job's answer is certified.
 #[derive(Clone, Debug)]
 pub enum Evidence {
     /// Decided by the PTIME word-constraint procedure (`post*`
-    /// saturation): `β ∈ post*(α)` under the rules read from Σ.
-    WordDerivation,
+    /// saturation): `β ∈ post*(α)` under the rules read from Σ, with a
+    /// shortest derivation of `β` from `α` guided by that `post*(α)`.
+    /// `None` when [`crate::WORD_DERIVATION_FUEL`] ran out, or inside
+    /// [`Evidence::LocalExtentReduction`], which has no certificate form.
+    WordDerivation(Option<Box<Derivation>>),
     /// Decided by the Theorem 5.1 reduction: the stripped `P_w` instance
     /// was implied.
     LocalExtentReduction(Box<Evidence>),

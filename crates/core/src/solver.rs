@@ -25,6 +25,7 @@ use crate::outcome::{
 use crate::search::{search_countermodel, search_typed_countermodel};
 use crate::typed_m::{m_implies, NotAnMSchema};
 use crate::word::WordEngine;
+use crate::word_evidence::{derivation_guided, RuleIndex, WORD_DERIVATION_FUEL};
 use pathcons_constraints::PathConstraint;
 use pathcons_telemetry::SpanGuard;
 use pathcons_types::{Model, Schema, TypeGraph};
@@ -214,26 +215,39 @@ impl Solver {
     fn solve_untyped(&self, sigma: &[PathConstraint], phi: &PathConstraint) -> Answer {
         // Fragment dispatch: pure word constraints → PTIME decision.
         if phi.is_word() && sigma.iter().all(|c| c.is_word()) {
+            let (alpha, beta) = (phi.lhs(), phi.rhs());
             // Warm path: a shared context built from exactly this Σ
             // answers via the cached saturated post* automaton —
             // `reaches(α, β)` is defined as `post*(α) ∋ β`, so this is
             // the identical computation with the saturation amortized.
+            // `implied` is `Some(derivation)` when β ∈ post*(α): the
+            // post*(α) that decided also guides the extraction, whose
+            // result depends on its language alone.
             let shared = self.shared.as_deref().and_then(|s| s.word_for(sigma));
             let (implied, collapse) = match shared {
                 Some(sw) => (
-                    sw.implies_word(phi.lhs(), phi.rhs()),
+                    sw.implies_word(alpha, beta)
+                        .then(|| sw.derivation(alpha, beta, WORD_DERIVATION_FUEL)),
                     sw.has_epsilon_collapse(),
                 ),
                 None => {
                     let engine = WordEngine::new(sigma).expect("all word constraints");
-                    let implied = engine.implies(phi).expect("query is a word constraint");
+                    let post = engine.consequences(alpha);
+                    let implied = post.accepts(beta).then(|| {
+                        RuleIndex::new(sigma).and_then(|rules| {
+                            derivation_guided(&rules, alpha, beta, WORD_DERIVATION_FUEL, |w| {
+                                post.accepts(w)
+                            })
+                        })
+                    });
                     // The collapse predicate only matters for negative
                     // answers; the cold path skips it otherwise (the
                     // warm path precomputed it at build).
-                    (implied, !implied && engine.has_epsilon_collapse())
+                    let collapse = implied.is_none() && engine.has_epsilon_collapse();
+                    (implied, collapse)
                 }
             };
-            if !implied && collapse {
+            if implied.is_none() && collapse {
                 // The three-rule system is incomplete for ε-collapsing
                 // theories (see WordEngine::has_epsilon_collapse): a
                 // negative answer is unreliable here, so fall through to
@@ -241,8 +255,8 @@ impl Solver {
                 // ways.
                 return self.solve_general_untyped(sigma, phi);
             }
-            let outcome = if implied {
-                Outcome::Implied(Evidence::WordDerivation)
+            let outcome = if let Some(derivation) = implied {
+                Outcome::Implied(Evidence::WordDerivation(derivation.map(Box::new)))
             } else {
                 // The decision stands on the complete procedure; a
                 // verified countermodel is attached on a best-effort

@@ -123,37 +123,6 @@ impl WordEngine {
     }
 }
 
-impl WordEngine {
-    /// Best-effort extraction of a shortest replayable rewrite
-    /// derivation for an implied word constraint, guided by this
-    /// engine's `post*(φ.lhs)` (see [`crate::derivation_guided`]);
-    /// `None` when the constraint is not implied or the fuel ran out.
-    pub fn try_derivation(
-        &self,
-        sigma: &[PathConstraint],
-        phi: &PathConstraint,
-        fuel: usize,
-    ) -> Option<crate::Derivation> {
-        if !phi.is_word() {
-            return None;
-        }
-        let rules = crate::RuleIndex::new(sigma)?;
-        let post = self.system.post_star(phi.lhs());
-        crate::derivation_guided(&rules, phi.lhs(), phi.rhs(), fuel, |w| post.accepts(w))
-    }
-
-    /// Best-effort construction of a verified countermodel for a refuted
-    /// word constraint (see [`crate::canonical_countermodel`]).
-    pub fn try_countermodel(
-        &self,
-        sigma: &[PathConstraint],
-        phi: &PathConstraint,
-        max_len: usize,
-    ) -> Option<pathcons_graph::Graph> {
-        crate::canonical_countermodel(sigma, phi, max_len)
-    }
-}
-
 /// Ablation baseline: decides the same implication by naive BFS over
 /// rewritten words, bounded by `max_len`/`max_words`. Returns `None` when
 /// the bound was insufficient to find `rhs` (inconclusive), `Some(true)`

@@ -9,7 +9,8 @@
 //!   sequence from `α` to `β`, checkable by [`Derivation::check`]. It is
 //!   a meet-in-the-middle search: forward from `α`, backward from `β`
 //!   pruned by membership in the `post*(α)` the decision already
-//!   saturated, over a [`RuleIndex`] built once per Σ. Shortest
+//!   saturated, over a [`RuleIndex`] of Σ; the [`crate::Solver`] runs it
+//!   as it decides, and the evidence carries the result. Shortest
 //!   derivations can be long, so extraction is fuel-bounded and optional
 //!   — the decision itself never is;
 //! - [`canonical_countermodel`] — a finite truncation of the canonical
@@ -267,6 +268,11 @@ impl Arena {
         Derivation { start, steps }
     }
 }
+
+/// Visited-word budget (both sides of [`derivation_guided`] together)
+/// for the derivation an implied word answer carries; running out
+/// leaves the answer without one, and hence uncertified.
+pub const WORD_DERIVATION_FUEL: usize = 20_000;
 
 /// Extracts a shortest derivation of `Σ ⊢ α → β` by meet-in-the-middle
 /// search over prefix rewrites. `member` must answer membership in

@@ -1,23 +1,22 @@
 //! The meet-in-the-middle derivation extractor against the reference
 //! searches it replaced: the same `Some`/`None` answers and the same
 //! (shortest) step counts, replayable output that does not depend on
-//! which automaton answers `post*(α)` membership, and a pinned
-//! visited-word count on the shared-context workload.
+//! which automaton answers `post*(α)` membership, the same derivation
+//! carried by cold and warm solver answers, and a pinned visited-word
+//! count on the shared-context workload.
 
 mod support;
 
 use pathcons_automata::{determinize, PrefixRewriteSystem};
 use pathcons_constraints::{Path, PathConstraint};
 use pathcons_core::{
-    derivation_guided, derivation_guided_visits, Derivation, RuleIndex, SharedWord,
+    derivation_guided, derivation_guided_visits, Budget, DataContext, Derivation, Evidence,
+    Outcome, RuleIndex, SharedContext, SharedWord, Solver, WORD_DERIVATION_FUEL as CERT_FUEL,
 };
 use pathcons_graph::{Label, LabelInterner};
 use proptest::prelude::*;
+use std::sync::Arc;
 use support::{derivation_backward, derivation_prestar, rewrite_ball, shared_theory};
-
-/// The certificate layer's extraction budget (`WORD_DERIVATION_FUEL` in
-/// `pathcons-engine`).
-const CERT_FUEL: usize = 20_000;
 
 fn system(sigma: &[PathConstraint]) -> PrefixRewriteSystem {
     let mut system = PrefixRewriteSystem::new();
@@ -187,4 +186,41 @@ fn depth_five_extraction_visits_stay_pinned() {
         .sum();
     println!("visited {visits} words for {} derivations", words.len());
     assert!(visits <= VISIT_BOUND, "visited {visits} > {VISIT_BOUND}");
+}
+
+/// The derivation an implied word answer carries.
+fn carried(solver: &Solver, sigma: &[PathConstraint], phi: &PathConstraint) -> Derivation {
+    match solver.implies(sigma, phi).unwrap().outcome {
+        Outcome::Implied(Evidence::WordDerivation(Some(d))) => *d,
+        other => panic!("{phi:?}: expected a carried derivation, got {other:?}"),
+    }
+}
+
+/// The solver extracts the derivation the moment it decides: cold from
+/// the `post*(α)` it just saturated (NFA guide), warm from the shared
+/// context's cached saturation (DFA guide). Both are the same language,
+/// so every depth-≤5 word of the 128-rule context gets the identical
+/// derivation either way.
+#[test]
+fn cold_and_warm_solves_carry_equal_derivations() {
+    let mut labels = LabelInterner::new();
+    let (sigma, start) = shared_theory(&mut labels);
+    let cold = Solver::new(DataContext::Semistructured);
+    let shared = Arc::new(SharedContext::build(&sigma, &Budget::default()));
+    let warm = Solver::new(DataContext::Semistructured).with_shared(Arc::clone(&shared));
+    let (ball, _) = rewrite_ball(&sigma, &start, 5);
+    let words = sample(&ball, 50);
+    for &beta in &words {
+        let phi = PathConstraint::word(start.clone(), Path::from_labels(beta.iter().copied()));
+        let d = carried(&cold, &sigma, &phi);
+        d.check(&sigma).unwrap();
+        assert_eq!(d.end(), beta);
+        assert_eq!(d, carried(&warm, &sigma, &phi), "β = {beta:?}");
+    }
+    // Every warm decision after the first saturation was a cache hit.
+    let stats = shared.stats();
+    assert_eq!(
+        (stats.word_misses, stats.word_hits),
+        (1, words.len() as u64 - 1)
+    );
 }

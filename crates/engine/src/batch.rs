@@ -511,10 +511,8 @@ impl BatchEngine {
         }
         let answer = solver.implies(sigma, phi)?;
         // Emission is self-checking: `certify` runs the trusted checker
-        // and returns `None` rather than an invalid certificate. The
-        // shared state is threaded through so word-derivation extraction
-        // reuses the context's cached `post*` saturation.
-        let certificate = certify(&canon, sigma, phi, &answer, shared.map(Arc::as_ref));
+        // and returns `None` rather than an invalid certificate.
+        let certificate = certify(&canon, sigma, phi, &answer, None);
         if cacheable(&answer) {
             if self.degraded.load(Ordering::Relaxed) {
                 // Degraded read-only mode: keep answering, stop writing.
@@ -1052,8 +1050,9 @@ fn entry_certificate_status(entry: &CachedEntry, canon: &CanonicalQuery) -> Cert
 /// one, and `canon.renaming` maps the current query's. Composing the
 /// first with the inverse of the second renames countermodel edges.
 /// Proof-style evidence is kept as-is: its *kind* is
-/// renaming-invariant, and its embedded paths are correct up to the
-/// alpha-renaming that the cache key equates.
+/// renaming-invariant, and its payloads stay in the inserting job's
+/// space — only [`crate::certify()`] reads them, at insertion; a hit is
+/// served the stored canonical-space certificate.
 fn adapt_answer(entry: CachedEntry, canon: &CanonicalQuery) -> Answer {
     let mut answer = entry.answer;
     if entry.renaming == canon.renaming {
@@ -1120,7 +1119,7 @@ pub fn unknown_reason_wire(reason: &UnknownReason) -> (&'static str, Option<&'st
 /// A stable name for an evidence constructor.
 pub fn evidence_kind(evidence: &Evidence) -> &'static str {
     match evidence {
-        Evidence::WordDerivation => "word-derivation",
+        Evidence::WordDerivation(_) => "word-derivation",
         Evidence::LocalExtentReduction(_) => "local-extent-reduction",
         Evidence::IrProof(_) => "ir-proof",
         Evidence::VacuousOverSchema => "vacuous-over-schema",

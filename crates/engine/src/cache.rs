@@ -304,7 +304,7 @@ mod tests {
     fn entry() -> CachedEntry {
         CachedEntry {
             answer: Answer {
-                outcome: Outcome::Implied(Evidence::WordDerivation),
+                outcome: Outcome::Implied(Evidence::WordDerivation(None)),
                 method: Method::WordAutomaton,
             },
             renaming: Renaming::new(),

@@ -14,13 +14,13 @@
 //!   pattern has the same shape under renaming) and constraint indices
 //!   into the *original* Σ; the indices are remapped by renaming the
 //!   original constraint and locating it in the canonical Σ.
-//! - **Word derivations** are re-extracted in the original label space
-//!   (the solver's `WordDerivation` evidence carries no steps) by the
-//!   meet-in-the-middle search of [`pathcons_core::derivation_guided`]:
-//!   forward from φ's lhs, backward from its rhs pruned by the
-//!   context's cached `post*(lhs)`, over the context's rule index (cold
-//!   callers build both per call). The shortest derivation found is
-//!   renamed into canonical space, rule indices included.
+//! - **Word derivations** arrive with the answer: the solver extracts a
+//!   shortest derivation in the original label space the moment it
+//!   decides `implied`, guided by the `post*(lhs)` that decided it (see
+//!   [`pathcons_core::Evidence::WordDerivation`]). It is renamed into
+//!   canonical space, rule indices included, exactly like a chase
+//!   trace; evidence without a derivation (the extraction fuel ran out)
+//!   has no certificate.
 //! - **Countermodels** are renamed edge-by-edge into canonical labels.
 //!   Typed countermodels are skipped: they carry `Φ(σ)` obligations the
 //!   untyped checker cannot audit.
@@ -38,23 +38,17 @@ use pathcons_cert::{
     ImpliedCert, RewriteStep,
 };
 use pathcons_constraints::PathConstraint;
-use pathcons_core::{Answer, Evidence, Outcome, SharedContext, SharedWord};
+use pathcons_core::{Answer, Derivation, Evidence, Outcome, SharedContext};
 use pathcons_graph::Label;
 
-/// Visited-word budget for re-extracting a word derivation: words
-/// visited by the forward and the backward side of the search together.
-/// Shortest derivations can be exponentially long; extraction is
-/// best-effort (a `None` just means the hit is served unchecked).
-const WORD_DERIVATION_FUEL: usize = 20_000;
-
 /// Builds the canonical-space certificate for `answer`, or `None` when
-/// the evidence has no certificate form. `original_sigma` and
-/// `original_phi` are the query the solver actually ran on (chase trace
-/// indices point into that Σ; word derivations are extracted in its
-/// label space and renamed). `shared` is the per-context amortization
-/// state, when the query ran against one: word-derivation extraction
-/// reuses its cached `post*` saturation instead of re-saturating per
-/// certificate.
+/// the evidence has no certificate form. `original_sigma` is the Σ the
+/// solver actually ran on: chase trace and word derivation indices point
+/// into it, and its labels are renamed into canonical space.
+/// `original_phi` and `shared` are not read (word evidence carries its
+/// derivation, so nothing is extracted here); they remain in the
+/// signature until the benchmark harness that calls `certify` is changed
+/// to drop them.
 ///
 /// The returned certificate has already passed the trusted checker
 /// against the canonical query — emission is self-checking, so an
@@ -63,18 +57,14 @@ const WORD_DERIVATION_FUEL: usize = 20_000;
 pub fn certify(
     canonical: &CanonicalQuery,
     original_sigma: &[PathConstraint],
-    original_phi: &PathConstraint,
+    _original_phi: &PathConstraint,
     answer: &Answer,
-    shared: Option<&SharedContext>,
+    _shared: Option<&SharedContext>,
 ) -> Option<Certificate> {
     let body = match &answer.outcome {
-        Outcome::Implied(evidence) => CertificateBody::Implied(implied_cert(
-            canonical,
-            original_sigma,
-            original_phi,
-            evidence,
-            shared,
-        )?),
+        Outcome::Implied(evidence) => {
+            CertificateBody::Implied(implied_cert(canonical, original_sigma, evidence)?)
+        }
         Outcome::NotImplied(refutation) => {
             let cm = refutation.countermodel.as_ref()?;
             if cm.types.is_some() {
@@ -110,9 +100,7 @@ pub fn certify(
 fn implied_cert(
     canonical: &CanonicalQuery,
     original_sigma: &[PathConstraint],
-    original_phi: &PathConstraint,
     evidence: &Evidence,
-    shared: Option<&SharedContext>,
 ) -> Option<ImpliedCert> {
     match evidence {
         // Only complete traces certify: the reference chase emits an
@@ -135,40 +123,27 @@ fn implied_cert(
                 pattern_at: trace.pattern_at,
             }))
         }
-        Evidence::WordDerivation => {
-            word_rewrite_cert(canonical, original_sigma, original_phi, shared)
+        Evidence::WordDerivation(derivation) => {
+            word_rewrite_cert(canonical, original_sigma, derivation.as_deref()?)
         }
         // The untyped-transfer wrapper is sound to strip: the inner
         // evidence certifies implication over all structures, which
         // the checker's semantics already are.
-        Evidence::UntypedImplication(inner) => {
-            implied_cert(canonical, original_sigma, original_phi, inner, shared)
-        }
+        Evidence::UntypedImplication(inner) => implied_cert(canonical, original_sigma, inner),
         _ => None,
     }
 }
 
-/// Extracts the word-rewrite derivation in the *original* label space —
-/// where the context's cached `post*(α)` saturation lives — then renames
-/// it into canonical space, step indices included, exactly like the
-/// chase branch. Cold callers rebuild the same saturation the decision
-/// procedure used, so the extracted derivation (and hence the
-/// certificate bytes) is identical across cache temperature.
+/// Renames a word-rewrite derivation from the *original* label space
+/// into canonical space, step indices included, exactly like the chase
+/// branch. The derivation is a function of (Σ, α, β) and the language of
+/// `post*(α)`, so the certificate bytes do not depend on whether the
+/// solver ran warm or cold.
 fn word_rewrite_cert(
     canonical: &CanonicalQuery,
     original_sigma: &[PathConstraint],
-    original_phi: &PathConstraint,
-    shared: Option<&SharedContext>,
+    d: &Derivation,
 ) -> Option<ImpliedCert> {
-    let owned;
-    let word = match shared.and_then(|s| s.word_for(original_sigma)) {
-        Some(w) => w,
-        None => {
-            owned = SharedWord::build(original_sigma)?;
-            &owned
-        }
-    };
-    let d = word.derivation(original_phi.lhs(), original_phi.rhs(), WORD_DERIVATION_FUEL)?;
     let start = rename_word(&d.start, canonical)?;
     let mut steps = Vec::with_capacity(d.steps.len());
     for s in &d.steps {
@@ -217,6 +192,49 @@ mod tests {
             CertificateBody::Implied(ImpliedCert::WordRewrite { .. })
                 | CertificateBody::Implied(ImpliedCert::ChaseReplay(_))
         ));
+    }
+
+    /// The word answer for `a -> c` from `a -> b`, `b -> c` and its
+    /// query, with the evidence swapped for `evidence(derivation)`.
+    fn word_answer_with(
+        evidence: impl FnOnce(Box<Derivation>) -> Evidence,
+    ) -> (CanonicalQuery, Vec<PathConstraint>, PathConstraint, Answer) {
+        let mut labels = LabelInterner::new();
+        let sigma = parse_constraints("a -> b\nb -> c", &mut labels).unwrap();
+        let phi = PathConstraint::parse("a -> c", &mut labels).unwrap();
+        let mut answer = Solver::new(DataContext::Semistructured)
+            .implies(&sigma, &phi)
+            .unwrap();
+        let Outcome::Implied(Evidence::WordDerivation(Some(derivation))) = answer.outcome else {
+            panic!("word evidence carries its derivation: {answer:?}");
+        };
+        answer.outcome = Outcome::Implied(evidence(derivation));
+        let canonical = canon::canonicalize(&DataContext::Semistructured, &sigma, &phi);
+        (canonical, sigma, phi, answer)
+    }
+
+    #[test]
+    fn word_evidence_without_a_derivation_is_uncertified() {
+        // Nothing is extracted here: no derivation, no certificate.
+        let (canonical, sigma, phi, answer) = word_answer_with(|_| Evidence::WordDerivation(None));
+        assert!(certify(&canonical, &sigma, &phi, &answer, None).is_none());
+    }
+
+    #[test]
+    fn unreplayable_derivations_are_dropped_by_the_checker() {
+        // Swapping the two steps' rules keeps every index in range, so a
+        // certificate body is built; replay fails at the first step.
+        let (canonical, sigma, phi, answer) = word_answer_with(|mut d| {
+            let (first, second) = (d.steps[0].rule, d.steps[1].rule);
+            d.steps[0].rule = second;
+            d.steps[1].rule = first;
+            Evidence::WordDerivation(Some(d))
+        });
+        let Outcome::Implied(evidence) = &answer.outcome else {
+            unreachable!()
+        };
+        assert!(implied_cert(&canonical, &sigma, evidence).is_some());
+        assert!(certify(&canonical, &sigma, &phi, &answer, None).is_none());
     }
 
     #[test]

@@ -3,14 +3,15 @@
 //! round-trip and is accepted by the trusted checker against the
 //! re-canonicalized query — and a tampered certificate (snapshot bit
 //! flipped, rule or constraint index pushed out of range, countermodel
-//! replaced by an inert graph) is rejected.
+//! replaced by an inert graph) is rejected. An alpha-variant served
+//! from the cache gets a certificate that checks against its own query.
 
 use pathcons_constraints::PathConstraint;
 use pathcons_core::cert::{self, CertificateBody, ImpliedCert};
 use pathcons_core::{Budget, DataContext, Outcome};
 use pathcons_engine::{
-    canonicalize, certificate_from_json, certificate_to_json, snapshot_id, BatchEngine,
-    EngineConfig, Json,
+    canonicalize, certificate_from_json, certificate_to_json, evidence_kind, snapshot_id,
+    BatchEngine, CacheOutcome, EngineConfig, Json,
 };
 use pathcons_graph::{Graph, LabelInterner};
 use proptest::prelude::*;
@@ -143,4 +144,90 @@ proptest! {
             );
         }
     }
+}
+
+/// Solves `sigma ⊨ phi` (constraint texts) on `engine` and checks the
+/// returned certificate against the query's own canonical form.
+fn solve_checked(
+    engine: &BatchEngine,
+    sigma: &[&str],
+    phi: &str,
+) -> (Outcome, CacheOutcome, String) {
+    let mut labels = LabelInterner::new();
+    let sigma: Vec<PathConstraint> = sigma
+        .iter()
+        .map(|c| PathConstraint::parse(c, &mut labels).unwrap())
+        .collect();
+    let phi = PathConstraint::parse(phi, &mut labels).unwrap();
+    let context = DataContext::Semistructured;
+    let (answer, cache, certificate) = engine
+        .solve_full(&context, &sigma, &phi, Budget::default())
+        .unwrap();
+    let certificate = certificate.expect("implied answers here certify");
+    let canon = canonicalize(&context, &sigma, &phi);
+    let check_context = cert::CheckContext {
+        snapshot: snapshot_id(&canon.key),
+        sigma: &canon.key.sigma,
+        phi: &canon.key.phi,
+    };
+    assert!(cert::check(&certificate, &check_context).is_valid());
+    let wire = certificate_to_json(&certificate).to_string();
+    (answer.outcome, cache, wire)
+}
+
+/// Solves `original`, then its alpha-variant `variant` (both `(Σ, φ)`
+/// texts) on one engine: the variant must hit the cache and be served
+/// the same certificate of kind `kind`, and the same evidence kind.
+fn assert_variant_hit(
+    engine: &BatchEngine,
+    original: (&[&str], &str),
+    variant: (&[&str], &str),
+    kind: &str,
+) {
+    let (first, cache, wire) = solve_checked(engine, original.0, original.1);
+    assert_eq!(cache, CacheOutcome::Miss, "{}", original.1);
+    assert!(wire.contains(&format!("\"kind\":\"{kind}\"")), "{wire}");
+    let (second, cache, variant_wire) = solve_checked(engine, variant.0, variant.1);
+    assert_eq!(
+        cache,
+        CacheOutcome::Hit,
+        "{} is an alpha-variant",
+        variant.1
+    );
+    assert_eq!(wire, variant_wire, "{}", variant.1);
+    match (&first, &second) {
+        (Outcome::Implied(a), Outcome::Implied(b)) => {
+            assert_eq!(evidence_kind(a), evidence_kind(b), "{}", variant.1)
+        }
+        other => panic!("{}: expected implied answers, got {other:?}", original.1),
+    }
+}
+
+/// Evidence payloads stay in the space of the job that was solved; a
+/// reordered, alpha-renamed variant served from the cache still gets a
+/// certificate that checks against its own query, and the same evidence
+/// kind.
+#[test]
+fn alpha_variant_hits_get_certificates_that_check() {
+    let engine = BatchEngine::new(EngineConfig {
+        threads: 1,
+        ..EngineConfig::default()
+    });
+    // Word theory: p·r ⇒ q·r ⇒ s ⇒ t, a three-step rewrite.
+    assert_variant_hit(
+        &engine,
+        (&["p -> q", "q.r -> s", "s -> t"], "p.r -> t"),
+        (&["b -> e", "a.d -> b", "c -> a"], "c.d -> e"),
+        "word-rewrite",
+    );
+    // General P_c: decided by the chase, certified by its trace.
+    assert_variant_hit(
+        &engine,
+        (
+            &["book: author <- wrote", "book -> book"],
+            "book: author -> author.wrote.author",
+        ),
+        (&["k -> k", "k: x <- y"], "k: x -> x.y.x"),
+        "chase-trace",
+    );
 }

@@ -2,9 +2,25 @@
 //! derivations and countermodels must tell one consistent story.
 
 use pathcons::constraints::{all_hold, holds, parse_constraints, PathConstraint};
-use pathcons::core::WordEngine;
+use pathcons::core::{
+    canonical_countermodel, derivation_guided, DataContext, Derivation, Evidence, Outcome,
+    RuleIndex, Solver, WordEngine,
+};
 use pathcons::graph::LabelInterner;
 use proptest::prelude::*;
+
+/// A shortest derivation of `φ` guided by `engine`'s `post*(φ.lhs)`;
+/// `None` when `φ` is not implied or the fuel ran out.
+fn guided_derivation(
+    engine: &WordEngine,
+    sigma: &[PathConstraint],
+    phi: &PathConstraint,
+    fuel: usize,
+) -> Option<Derivation> {
+    let rules = RuleIndex::new(sigma)?;
+    let post = engine.consequences(phi.lhs());
+    derivation_guided(&rules, phi.lhs(), phi.rhs(), fuel, |w| post.accepts(w))
+}
 
 fn word_sigma(
     alphabet: usize,
@@ -41,11 +57,21 @@ fn derivations_exist_and_replay_for_paper_style_rules() {
     ] {
         let phi = PathConstraint::parse(text, &mut labels).unwrap();
         assert!(engine.implies(&phi).unwrap(), "{text} should be implied");
-        let derivation = engine
-            .try_derivation(&sigma, &phi, 100_000)
+        let derivation = guided_derivation(&engine, &sigma, &phi, 100_000)
             .unwrap_or_else(|| panic!("no derivation for {text}"));
         derivation.check(&sigma).unwrap();
         assert_eq!(derivation.end(), phi.rhs().labels());
+        // The solver's implied answer carries a derivation of its own.
+        let answer = Solver::new(DataContext::Semistructured)
+            .implies(&sigma, &phi)
+            .unwrap();
+        match &answer.outcome {
+            Outcome::Implied(Evidence::WordDerivation(Some(carried))) => {
+                carried.check(&sigma).unwrap();
+                assert_eq!(carried.end(), phi.rhs().labels(), "{text}");
+            }
+            other => panic!("{text}: expected a carried derivation, got {other:?}"),
+        }
     }
 }
 
@@ -61,7 +87,7 @@ fn countermodels_exist_and_verify_for_refuted_queries() {
     ] {
         let phi = PathConstraint::parse(text, &mut labels).unwrap();
         assert!(!engine.implies(&phi).unwrap());
-        if let Some(g) = engine.try_countermodel(&sigma, &phi, 5) {
+        if let Some(g) = canonical_countermodel(&sigma, &phi, 5) {
             assert!(all_hold(&g, &sigma), "countermodel violates Σ for {text}");
             assert!(!holds(&g, &phi), "countermodel satisfies {text}");
         }
@@ -91,7 +117,7 @@ proptest! {
             pathcons::constraints::Path::from_labels(rhs.iter().map(|&i| all[i])),
         );
         let decided = engine.implies(&phi).unwrap();
-        match engine.try_derivation(&sigma, &phi, 50_000) {
+        match guided_derivation(&engine, &sigma, &phi, 50_000) {
             Some(d) => {
                 prop_assert!(decided, "derivation for a refuted constraint");
                 d.check(&sigma).unwrap();
@@ -104,7 +130,7 @@ proptest! {
             }
         }
         // Countermodels only exist for refuted constraints, and verify.
-        if let Some(g) = engine.try_countermodel(&sigma, &phi, 4) {
+        if let Some(g) = canonical_countermodel(&sigma, &phi, 4) {
             prop_assert!(!decided);
             prop_assert!(all_hold(&g, &sigma));
             prop_assert!(!holds(&g, &phi));
